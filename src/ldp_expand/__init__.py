@@ -5,7 +5,8 @@ cross-validation."""
 
 from .discretize import (DEFAULT_GRID_N, GeneratorMatrix, InvariantDensity,
                          PeriodicGrid, build_generator, build_tilted_generator,
-                         invariant_density, operators_for, semigroup_step)
+                         clear_caches, invariant_density, operators_for,
+                         semigroup_step)
 from .expansion import (CoeffFit, TailCurve, TestFunction, bump_window,
                         exact_tail, extract_coefficients, gaussian_window,
                         leading_coefficient, mgf, one_sided_exponential,

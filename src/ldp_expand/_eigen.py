@@ -1,8 +1,11 @@
-"""Dense eigen machinery for the top (Perron) pair of tilted operators.
+"""Eigen machinery for the top (Perron) pair of tilted operators.
 
 Desk-scale matrices (n <= 1024) are solved with the full dense spectrum;
 the top pair is then polished by inverse iteration and a two-sided Rayleigh
 quotient so that cumulant curves are smooth to near machine precision.
+``rqi_pair`` is the one two-sided Rayleigh-quotient iteration; it runs on
+any operator with products from both sides and shifted solves (the banded
+tilted generators), and the dense polish reuses its step with an LU solver.
 """
 from __future__ import annotations
 
@@ -96,28 +99,53 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
                      weight=weight, spectrum=w)
 
 
+class _DenseSolver:
+    """A dense matrix with the product and shifted solve of ``_rqi_step``."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        return self.M @ u
+
+    def shifted_solver(self, sigma):
+        """solve(r, trans=False) for (M - sigma) x = r, or its transpose."""
+        ident = np.eye(self.M.shape[0], dtype=np.promote_types(self.M.dtype, type(sigma)))
+        lu = sla.lu_factor(self.M - sigma * ident)
+        return lambda r, trans=False: sla.lu_solve(lu, r, trans=int(trans))
+
+
+def _rqi_step(op, value, g, psi):
+    """One two-sided inverse-iteration step at shift ``value`` followed by
+    the two-sided Rayleigh quotient; None on breakdown."""
+    try:
+        with quiet_singular():
+            solve = op.shifted_solver(value)
+            g2 = solve(g)
+            psi2 = solve(psi, trans=True)
+    except (sla.LinAlgError, ValueError):
+        return None
+    if not (np.all(np.isfinite(g2)) and np.all(np.isfinite(psi2))):
+        return None
+    g2 = g2 / np.max(np.abs(g2))
+    psi2 = psi2 / np.max(np.abs(psi2))
+    denom = psi2 @ g2
+    if denom == 0 or not np.isfinite(denom):
+        return None
+    value2 = (psi2 @ op.matvec(g2)) / denom
+    if not np.isfinite(value2):
+        return None
+    return value2, g2, psi2
+
+
 def _polish_pair(M, value, g, psi):
     """One to two rounds of inverse iteration plus a two-sided Rayleigh quotient."""
-    n = M.shape[0]
-    ident = np.eye(n, dtype=np.promote_types(M.dtype, type(value)))
+    op = _DenseSolver(M)
     for _ in range(2):
-        try:
-            with quiet_singular():
-                lu = sla.lu_factor(M - value * ident)
-                g2 = sla.lu_solve(lu, g)
-                psi2 = sla.lu_solve(lu, psi, trans=1)
-        except (sla.LinAlgError, ValueError):
+        step = _rqi_step(op, value, g, psi)
+        if step is None:
             break
-        if not (np.all(np.isfinite(g2)) and np.all(np.isfinite(psi2))):
-            break
-        g2 = g2 / np.max(np.abs(g2))
-        psi2 = psi2 / np.max(np.abs(psi2))
-        denom = psi2 @ g2
-        if denom == 0 or not np.isfinite(denom):
-            break
-        value2 = (psi2 @ (M @ g2)) / denom
-        if not np.isfinite(value2):
-            break
+        value2, g2, psi2 = step
         res_new = np.max(np.abs(M @ g2 - value2 * g2))
         res_old = np.max(np.abs(M @ g - value * g))
         if res_new > res_old:
@@ -151,44 +179,34 @@ def spectrum(M: np.ndarray) -> np.ndarray:
     return sla.eigvals(np.asarray(M))
 
 
-def rqi_pair(M: np.ndarray, g0: np.ndarray, psi0: np.ndarray, weight: float,
-             max_iter: int = 8):
-    """Two-sided Rayleigh-quotient iteration for one eigen pair of a complex
-    matrix, warm-started from (g0, psi0).  Returns (value, g, psi) with
-    ``sum(psi * g) * weight = 1``, or None when convergence fails."""
-    M = np.asarray(M)
-    g = g0.astype(complex, copy=True)
-    psi = psi0.astype(complex, copy=True)
+def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float, max_iter: int = 8):
+    """Two-sided Rayleigh-quotient iteration for one eigen pair, warm-started
+    from (g0, psi0).
+
+    ``op`` offers ``matvec(u)`` (M u), ``rmatvec(v)`` (v M), ``scale`` (the
+    largest entry modulus), ``dtype`` and ``shifted_solver(sigma)``.  The
+    iteration runs in the common precision of operator and seeds, so a real
+    Perron branch stays real.  Returns (value, g, psi) with the largest-modulus
+    entry of g equal to 1 and ``sum(psi * g) * weight = 1``, or None when
+    convergence fails."""
+    dtype = np.result_type(op.dtype, g0, psi0)
+    g = np.array(g0, dtype=dtype)
+    psi = np.array(psi0, dtype=dtype)
     denom = psi @ g
     if denom == 0 or not np.isfinite(denom):
         return None
-    value = complex((psi @ (M @ g)) / denom)
-    ident = np.eye(M.shape[0], dtype=complex)
-    target = max(1e-12, 32 * np.finfo(float).eps * float(np.max(np.abs(M))))
+    value = (psi @ op.matvec(g)) / denom
+    target = max(1e-12, 32 * np.finfo(float).eps * op.scale)
     converged = False
     for _ in range(max_iter):
-        if (np.max(np.abs(M @ g - value * g)) < target
-                and np.max(np.abs(psi @ M - value * psi)) < target):
+        if (np.max(np.abs(op.matvec(g) - value * g)) < target
+                and np.max(np.abs(op.rmatvec(psi) - value * psi)) < target):
             converged = True
             break
-        try:
-            with quiet_singular():
-                lu = sla.lu_factor(M - value * ident)
-                g2 = sla.lu_solve(lu, g)
-                psi2 = sla.lu_solve(lu, psi, trans=1)
-        except (sla.LinAlgError, ValueError):
+        step = _rqi_step(op, value, g, psi)
+        if step is None:
             return None
-        if not (np.all(np.isfinite(g2)) and np.all(np.isfinite(psi2))):
-            return None
-        g2 = g2 / np.max(np.abs(g2))
-        psi2 = psi2 / np.max(np.abs(psi2))
-        denom = psi2 @ g2
-        if denom == 0 or not np.isfinite(denom):
-            return None
-        v2 = (psi2 @ (M @ g2)) / denom
-        if not np.isfinite(v2):
-            return None
-        g, psi, value = g2, psi2, complex(v2)
+        value, g, psi = step
     if not converged:
         return None
     j = int(np.argmax(np.abs(g)))
@@ -197,5 +215,4 @@ def rqi_pair(M: np.ndarray, g0: np.ndarray, psi0: np.ndarray, weight: float,
     pairing = np.sum(psi * g) * weight
     if pairing == 0 or not np.isfinite(pairing):
         return None
-    psi = psi / pairing
-    return value, g, psi
+    return value.item(), g, psi / pairing

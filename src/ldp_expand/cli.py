@@ -335,7 +335,7 @@ def run(command: str, config: RunConfig, *, force: bool = False,
         return 1
     try:
         return handler(config, force=force, svg=svg, overrides=overrides or {})
-    except LdpExpandError as exc:
+    except (LdpExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

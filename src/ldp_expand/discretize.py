@@ -8,7 +8,9 @@ The torus generator uses the divergence-form second-order stencil
 
 with midpoint-averaged d = V V^T, which keeps constants in the kernel
 exactly and stays self-adjoint when V0 = 0.  Tilting adds the diagonal
-z b(x) + z^2 sigma(x)^2 / 2.
+z b(x) + z^2 sigma(x)^2 / 2.  The stencil is held as three periodic
+diagonals (``CyclicTridiagonal``); dense matrices are built from it only
+where a full spectrum or a matrix exponential is needed.
 """
 from __future__ import annotations
 
@@ -91,10 +93,119 @@ class InvariantDensity:
         return float(np.sum(self.rho) * self.weight)
 
 
-def build_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> GeneratorMatrix:
+@dataclass(frozen=True)
+class CyclicTridiagonal:
+    """Periodic three-point operator
+
+        (M u)_i = lo_i u_{i-1} + diag_i u_i + up_i u_{i+1}    (indices mod n),
+
+    the exact form of a torus generator and of every tilt of it.  Products
+    cost O(n).  ``shifted_solver`` factors the tridiagonal part of M - sigma
+    once (LAPACK ?gttrf) and folds the two corner entries back in by
+    Sherman-Morrison (Numerical Recipes, section 2.7), so each solve is O(n)."""
+
+    lo: np.ndarray
+    diag: np.ndarray
+    up: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+    @property
+    def dtype(self):
+        return np.result_type(self.lo, self.diag, self.up)
+
+    @property
+    def scale(self) -> float:
+        """Largest entry modulus (the max-norm of the dense matrix)."""
+        return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.diag)),
+                         np.max(np.abs(self.up))))
+
+    def shifted_diagonal(self, shift) -> "CyclicTridiagonal":
+        return CyclicTridiagonal(lo=self.lo, diag=self.diag + shift, up=self.up)
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """M u."""
+        return self.diag * u + self.up * _next(u) + self.lo * _prev(u)
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """v M (the left product, without conjugation)."""
+        return self.diag * v + _prev(self.up * v) + _next(self.lo * v)
+
+    def dense(self) -> np.ndarray:
+        n = self.n
+        idx = np.arange(n)
+        M = np.zeros((n, n), dtype=self.dtype)
+        M[idx, (idx + 1) % n] = self.up
+        M[idx, (idx - 1) % n] = self.lo
+        M[idx, idx] = self.diag
+        return M
+
+    def shifted_solver(self, sigma):
+        """solve(r, trans=False) returning (M - sigma)^{-1} r, or the solution
+        of the transposed system (M - sigma)^T x = r with ``trans=True``.
+
+        Writes M - sigma = T + u w^T with u = (gamma, 0, ..., 0, a) and
+        w = (1, 0, ..., 0, b / gamma), where a and b are the bottom-left and
+        top-right corners and T is tridiagonal; gamma = -(M - sigma)_{00}
+        keeps T's first pivot clear of cancellation."""
+        d = self.diag - sigma
+        a, b = self.up[-1], self.lo[0]
+        gamma = -d[0] if d[0] != 0 else -1.0
+        d[0] -= gamma
+        d[-1] -= a * b / gamma
+        dl, du = self.lo[1:], self.up[:-1]
+        gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+        dtype = gttrf.dtype
+        dl, d, du, du2, ipiv, info = gttrf(dl.astype(dtype), d.astype(dtype), du.astype(dtype))
+        if info > 0:
+            raise sla.LinAlgError(f"tridiagonal factor is singular at pivot {info}")
+        n = self.n
+        u = np.zeros(n, dtype=dtype)
+        u[0], u[-1] = gamma, a
+        w = np.zeros(n, dtype=dtype)
+        w[0], w[-1] = 1.0, b / gamma
+        # T q = u and T^T p = w, shared by every right-hand side
+        q, _ = gttrs(dl, d, du, du2, ipiv, u)
+        p, _ = gttrs(dl, d, du, du2, ipiv, w, trans="T")
+        denom_n = 1.0 + (q[0] + w[-1] * q[-1])
+        denom_t = 1.0 + (gamma * p[0] + a * p[-1])
+        # sigma an eigenvalue to working precision zeroes a denominator; as
+        # inverse iteration does with a zero pivot, perturb it by one rounding
+        # unit, so the solve returns the null vector q (or p) scaled up, not inf
+        eps = np.finfo(float).eps
+        denom_n = denom_n if denom_n != 0 else eps
+        denom_t = denom_t if denom_t != 0 else eps
+
+        def solve(r, trans=False):
+            r = np.asarray(r)
+            if np.iscomplexobj(r) and dtype.kind != "c":
+                # a real factor solves the real and imaginary parts apart
+                return solve(r.real, trans) + 1j * solve(r.imag, trans)
+            if trans:
+                y, _ = gttrs(dl, d, du, du2, ipiv, r.astype(dtype), trans="T")
+                return y - ((gamma * y[0] + a * y[-1]) / denom_t) * p
+            y, _ = gttrs(dl, d, du, du2, ipiv, r.astype(dtype))
+            return y - ((y[0] + w[-1] * y[-1]) / denom_n) * q
+
+        return solve
+
+
+def _next(u: np.ndarray) -> np.ndarray:
+    """u_{i+1} with periodic wrap (np.roll(u, -1) at a third of the cost)."""
+    return np.concatenate((u[1:], u[:1]))
+
+
+def _prev(u: np.ndarray) -> np.ndarray:
+    """u_{i-1} with periodic wrap."""
+    return np.concatenate((u[-1:], u[:-1]))
+
+
+def generator_stencil(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> CyclicTridiagonal:
     """Divergence-form discretization of A u = (1/2) div(V V^T grad u) + V0 grad u."""
     _check_torus(spec, grid)
-    n, dx = grid.n, grid.dx
+    dx = grid.dx
     x = grid.points()
     d = spec.diffusion_coeff(x)
     v0 = np.asarray(spec.drift_v0(x), dtype=float)
@@ -106,31 +217,18 @@ def build_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> GeneratorMa
     if np.any(up < 0.0) or np.any(lo < 0.0):
         raise GridResolutionError(
             "drift overwhelms diffusion at this resolution (negative off-diagonal); refine the grid")
+    return CyclicTridiagonal(lo=lo, diag=-(up + lo), up=up)
 
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, (idx + 1) % n] = up
-    A[idx, (idx - 1) % n] = lo
-    A[idx, idx] = -(up + lo)
-    return GeneratorMatrix(matrix=A, z=0.0, tag="base", grid=grid)
+
+def build_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> GeneratorMatrix:
+    """Dense matrix of the generator stencil."""
+    return GeneratorMatrix(matrix=generator_stencil(spec, grid).dense(), z=0.0,
+                           tag="base", grid=grid)
 
 
 def build_tilted_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid, z: complex) -> GeneratorMatrix:
     """G(z) = A + diag(z b + z^2 sigma^2 / 2)."""
-    base = build_generator(spec, grid)
-    return _tilt(base, spec, z)
-
-
-def _tilt(base: GeneratorMatrix, spec: TorusDiffusionSpec, z: complex) -> GeneratorMatrix:
-    if z == 0:
-        return base
-    x = base.grid.points()
-    b = np.asarray(spec.obs_drift_b(x), dtype=float)
-    sig2 = np.asarray(spec.obs_noise_sigma(x), dtype=float) ** 2
-    diag = z * b + 0.5 * z * z * sig2
-    G = base.matrix.astype(np.result_type(base.matrix.dtype, np.asarray(diag).dtype), copy=True)
-    G[np.arange(G.shape[0]), np.arange(G.shape[0])] += diag
-    return GeneratorMatrix(matrix=G, z=z, tag="tilted", grid=base.grid)
+    return DiffusionOperators(spec, grid.n).generator(z)
 
 
 def _check_torus(spec: TorusDiffusionSpec, grid: PeriodicGrid):
@@ -220,6 +318,12 @@ def _null_density(MT: np.ndarray, scale: float) -> np.ndarray:
 _WORKSPACES: dict = {}
 
 
+def clear_caches() -> None:
+    """Drop every cached workspace, so the next operation on any model
+    starts cold."""
+    _WORKSPACES.clear()
+
+
 def operators_for(spec: ModelSpec, n: int | None = None):
     """Workspace for a spec, cached so spectra are shared across operations."""
     if isinstance(spec, TorusDiffusionSpec):
@@ -251,7 +355,7 @@ class DiffusionOperators:
         self.vv = spec.diffusion_coeff(self.x)
         self.b = np.asarray(spec.obs_drift_b(self.x), dtype=float)
         self.sigma2 = np.asarray(spec.obs_noise_sigma(self.x), dtype=float) ** 2
-        self.base = build_generator(spec, self.grid)
+        self.stencil = generator_stencil(spec, self.grid)
         self._rho: InvariantDensity | None = None
         self._eigen: dict[complex, EigenData] = {}
         self._mu_lite: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
@@ -261,11 +365,19 @@ class DiffusionOperators:
         self._top_cert: dict = {}
 
     # -- operators ---------------------------------------------------------
+    def operator(self, z: complex) -> CyclicTridiagonal:
+        """G(z) as three periodic diagonals."""
+        if z == 0:
+            return self.stencil
+        return self.stencil.shifted_diagonal(self.tilt_diagonal(z))
+
     def tilted(self, z: complex) -> np.ndarray:
-        return _tilt(self.base, self.spec, z).matrix
+        """Dense G(z), for full spectra and matrix exponentials."""
+        return self.operator(z).dense()
 
     def generator(self, z: complex) -> GeneratorMatrix:
-        return _tilt(self.base, self.spec, z)
+        return GeneratorMatrix(matrix=self.tilted(z), z=z,
+                               tag="base" if z == 0 else "tilted", grid=self.grid)
 
     def tilt_diagonal(self, z: complex) -> np.ndarray:
         return z * self.b + 0.5 * z * z * self.sigma2
@@ -273,7 +385,7 @@ class DiffusionOperators:
     @property
     def rho(self) -> InvariantDensity:
         if self._rho is None:
-            self._rho = invariant_density(self.base)
+            self._rho = invariant_density(self.generator(0.0))
         return self._rho
 
     def integral(self, values: np.ndarray) -> float:
@@ -293,7 +405,8 @@ class DiffusionOperators:
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(mu, g, psi) of the real tilt at theta: warm Rayleigh-quotient
-        continuation along a theta ladder, dense eigensolve as fallback."""
+        continuation on the tridiagonal operator along a theta ladder, dense
+        eigensolve as fallback."""
         theta = float(theta)
         hit = self._mu_lite.get(theta)
         if hit is not None:
@@ -336,48 +449,17 @@ class DiffusionOperators:
     def _rqi(self, theta: float, seed) -> tuple[float, np.ndarray, np.ndarray] | None:
         """Two-sided Rayleigh-quotient iteration toward the Perron pair of
         G(theta); returns None when convergence or positivity fails."""
-        M = self.tilted(theta)
-        _, g, psi = seed
-        mu = float((psi @ (M @ g)) / (psi @ g))
-        ident = np.eye(M.shape[0])
-        norm_m = np.max(np.abs(M))
-        target = max(1e-12, 32 * np.finfo(float).eps * norm_m)
-        converged = False
-        for _ in range(8):
-            if (np.max(np.abs(M @ g - mu * g)) < target
-                    and np.max(np.abs(psi @ M - mu * psi)) < target):
-                converged = True
-                break
-            try:
-                with quiet_singular():
-                    lu = sla.lu_factor(M - mu * ident)
-                    g2 = sla.lu_solve(lu, g)
-                    psi2 = sla.lu_solve(lu, psi, trans=1)
-            except (sla.LinAlgError, ValueError):
-                return None
-            if not (np.all(np.isfinite(g2)) and np.all(np.isfinite(psi2))):
-                return None
-            g2 = g2 / np.max(np.abs(g2))
-            psi2 = psi2 / np.max(np.abs(psi2))
-            denom = psi2 @ g2
-            if denom == 0 or not np.isfinite(denom):
-                return None
-            mu2 = (psi2 @ (M @ g2)) / denom
-            if not np.isfinite(mu2):
-                return None
-            g, psi, mu = g2, psi2, float(np.real(mu2))
-        if not converged:
+        pair = rqi_pair(self.operator(theta), seed[1], seed[2], self.weight)
+        if pair is None:
             return None
-        if np.min(g) < 0:
-            g = -g
-        if np.min(psi) < 0:
-            psi = -psi
-        if np.min(g) <= 0 or np.min(psi) < -1e-10:
+        mu, g, psi = pair
+        # rqi_pair scales g to a largest entry of +1 and psi to pairing one, so
+        # a Perron pair comes back positive
+        if np.min(g) <= 0 or np.min(psi) < -1e-10 * np.max(np.abs(psi)):
             return None  # left the Perron branch; caller falls back to dense
-        g = g / np.max(g)
         psi = np.clip(psi, 0.0, None)
         psi = psi / (np.sum(psi * g) * self.weight)
-        return (mu, g, psi)
+        return (float(mu), g, psi)
 
     # -- moment generating data ---------------------------------------------
     def nmgf(self, z: complex, ts: np.ndarray, frame: EvaluationFrame, mu_ref: float) -> np.ndarray:
@@ -414,7 +496,7 @@ class DiffusionOperators:
                 return line[0.0]
         near = min(line, key=lambda sv: abs(sv - s))
         _, g_seed, psi_seed = line[near]
-        pair = rqi_pair(self.tilted(complex(theta, s)), g_seed, psi_seed, self.weight)
+        pair = rqi_pair(self.operator(complex(theta, s)), g_seed, psi_seed, self.weight)
         if pair is None:
             return None
         line[s] = pair

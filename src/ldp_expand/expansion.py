@@ -339,23 +339,22 @@ def leading_coefficient(spec: ModelSpec, frame: EvaluationFrame, a: float, *,
             f"theta_a={rp.theta:.3g} is near the admissible boundary; the leading "
             "coefficient diverges as a approaches the mean slope", stacklevel=2)
     ops = operators_for(spec, n)
-    ed = ops.eigendata(rp.theta)
-    size = ed.g.size
-    i0 = frame.index_on(size)
-    v = frame.vector_on(size)
-    ell_pi_v = float(ed.g[i0] * np.sum(ed.psi * v) * ops.weight)
-    _warn_if_nonreversible(ops, ed, i0, v, ell_pi_v)
+    _, g, psi = ops.perron(rp.theta)
+    i0 = frame.index_on(g.size)
+    v = frame.vector_on(g.size)
+    ell_pi_v = float(g[i0] * np.sum(psi * v) * ops.weight)
+    _warn_if_nonreversible(ops, g, psi, i0, v, ell_pi_v)
     return ell_pi_v * np.sqrt(rp.curvature) / (rp.theta * np.sqrt(2.0 * np.pi))
 
 
-def _warn_if_nonreversible(ops, ed, i0, v, ell_pi_v):
+def _warn_if_nonreversible(ops, g, psi, i0, v, ell_pi_v):
     """The reversible-case shortcut g(x0) int g presumes psi proportional to
     g; flag models where that reading would disagree."""
-    denom = float(np.sum(ed.g * ed.g) * ops.weight)
-    psi_selfadjoint = ed.g / denom
-    rel = float(np.max(np.abs(psi_selfadjoint - ed.psi)) / max(np.max(np.abs(ed.psi)), 1e-300))
+    denom = float(np.sum(g * g) * ops.weight)
+    psi_selfadjoint = g / denom
+    rel = float(np.max(np.abs(psi_selfadjoint - psi)) / max(np.max(np.abs(psi)), 1e-300))
     if rel > 1e-6:
-        alt = float(ed.g[i0] * np.sum(psi_selfadjoint * v) * ops.weight)
+        alt = float(g[i0] * np.sum(psi_selfadjoint * v) * ops.weight)
         warnings.warn(
             "non-self-adjoint tilted operator: ell(Pi v) uses the left eigenvector "
             f"({ell_pi_v:.9g}); the reversible-case shortcut would give {alt:.9g}",

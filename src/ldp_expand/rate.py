@@ -35,13 +35,6 @@ class RateTable:
     failures: tuple[tuple[float, str], ...] = ()
 
 
-def _mu_prime(ops, theta: float) -> float:
-    """Exact derivative of the discrete cumulant curve via the eigenpair;
-    smooth in theta to near machine precision (unlike finite differences of
-    the stiff eigenvalue itself)."""
-    return spectral_mu_prime(ops, theta)
-
-
 def _mu_second(ops, theta: float, h: float = FD_STEP) -> float:
     return (spectral_mu_prime(ops, theta + h) - spectral_mu_prime(ops, theta - h)) / (2.0 * h)
 
@@ -55,27 +48,27 @@ def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
     ops = operators_for(spec, n)
     a = float(a)
     lo, hi = 0.0, float(theta_max)
-    dlo = _mu_prime(ops, lo)
-    dhi = _mu_prime(ops, hi)
+    dlo = spectral_mu_prime(ops, lo)
+    dhi = spectral_mu_prime(ops, hi)
     while dhi < a and hi < THETA_HARD_CAP:
         hi = min(2.0 * hi, THETA_HARD_CAP)
-        dhi = _mu_prime(ops, hi)
+        dhi = spectral_mu_prime(ops, hi)
     if not (dlo < a < dhi):
         raise AdmissibleRangeError(
             f"a={a:.6g} outside the admissible open range ({dlo:.6g}, {dhi:.6g}) "
             f"explored over theta in [0, {hi:.6g}]")
 
-    theta = brentq(lambda th: _mu_prime(ops, th) - a, lo, hi, xtol=1e-13)
+    theta = brentq(lambda th: spectral_mu_prime(ops, th) - a, lo, hi, xtol=1e-13)
     for _ in range(2):
         d2 = _mu_second(ops, theta)
         if d2 <= 0.0:
             raise ConvergenceError(
                 f"mu''({theta:.6g}) = {d2:.3e} is not positive: convexity condition violated")
-        step = (_mu_prime(ops, theta) - a) / d2
+        step = (spectral_mu_prime(ops, theta) - a) / d2
         theta -= step
         if abs(step) < 1e-14 * max(1.0, abs(theta)):
             break
-    resid = abs(_mu_prime(ops, theta) - a)
+    resid = abs(spectral_mu_prime(ops, theta) - a)
     if resid > 1e-10:
         raise ConvergenceError(f"mu'(theta_a) missed a by {resid:.3e} (> 1e-10)")
     return float(theta)

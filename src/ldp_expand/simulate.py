@@ -234,8 +234,7 @@ def tilted_dynamics(spec: TorusDiffusionSpec, theta: float, *,
     if theta == 0.0:
         return spec
     ops = operators_for(spec, n)
-    ed = ops.eigendata(theta)
-    g = ed.g
+    _, g, _ = ops.perron(theta)
     if np.min(g) <= 0.0:
         raise DegenerateSpectrumError("tilted eigenfunction is not positive; spectral failure upstream")
     m = g.size
@@ -261,8 +260,7 @@ def estimate_tail_is(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
     rp = rate_point(spec, a, n=n)
     theta = rp.theta
     ops = operators_for(spec, n)
-    ed = ops.eigendata(theta)
-    log_g = np.log(ed.g)
+    log_g = np.log(ops.perron(theta)[1])
     i0 = frame.index_on(ops.grid.n)
     x0 = i0 * ops.dx
     tspec = tilted_dynamics(spec, theta, n=n)
@@ -341,12 +339,12 @@ def decorrelation_check(spec: TorusDiffusionSpec, theta: float, t_list,
     if not t_list:
         return DecorrelationReport(theta=theta, rows=())
     ops = operators_for(spec, n)
-    ed = ops.eigendata(theta)
-    if np.min(ed.g) <= 0.0:
+    _, g, psi = ops.perron(theta)
+    if np.min(g) <= 0.0:
         raise DegenerateSpectrumError("tilted eigenfunction is not positive")
-    m = ed.g.size
-    dlng = (np.roll(np.log(ed.g), -1) - np.roll(np.log(ed.g), 1)) * (0.5 * m)
-    pi = ed.psi * ed.g * ops.weight
+    m = g.size
+    dlng = (np.roll(np.log(g), -1) - np.roll(np.log(g), 1)) * (0.5 * m)
+    pi = psi * g * ops.weight
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     x_init = _sample_stationary(pi, ops.dx, n_paths, seed)

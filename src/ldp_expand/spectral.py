@@ -188,37 +188,36 @@ def spectral_mu_prime(ops, theta: float) -> float:
     return float(ed.psi @ (T1 @ ed.g)) / lam
 
 
-def tilted_x_generator(ops, theta: float) -> np.ndarray:
-    """Generator of the tilted torus process: conjugation (1/g)(G - mu)(g .),
-    whose continuum form is A + (V V^T)(grad log g) grad."""
-    ed = ops.eigendata(float(theta))
-    G = ops.tilted(float(theta))
-    mu = float(np.real(ed.value))
-    g = ed.g
-    return (G * g[None, :] - mu * np.diag(g)) / g[:, None]
-
-
 def solve_corrector(ops, theta: float) -> tuple[np.ndarray, float, float]:
     """Solve A~ f = c_theta - (b + theta sigma^2) on the grid.
 
-    Returns (f, c_theta, residual).  Solvability holds because the right-hand
+    Returns (f, c_theta, residual).  A~ is the generator of the tilted torus
+    process, the conjugation (1/g)(G - mu)(g .) whose continuum form is
+    A + (V V^T)(grad log g) grad.  Solvability holds because the right-hand
     side is orthogonal to the tilted invariant measure psi g; the solve pins
     the free constant by zero pi-mean.
     """
     theta = float(theta)
-    ed = ops.eigendata(theta)
-    pi = ed.psi * ed.g * ops.weight
+    mu, g, psi = ops.perron(theta)
+    pi = psi * g * ops.weight
     drift = ops.b + theta * ops.sigma2
     c_theta = float(np.sum(drift * pi))
     rhs = c_theta - drift
     ortho = float(np.sum(rhs * pi))
     if abs(ortho) > 1e-10 * max(1.0, float(np.max(np.abs(drift)))):
         raise SolvabilityError(f"corrector right-hand side not orthogonal to pi ({ortho:.3e})")
-    At = tilted_x_generator(ops, theta)
-    aug = np.vstack([At, pi[None, :]])
-    rhs_aug = np.concatenate([rhs, [0.0]])
-    f, *_ = np.linalg.lstsq(aug, rhs_aug, rcond=None)
-    residual = float(np.max(np.abs(At @ f - rhs)))
+    # (G - mu) h = g rhs with h = g f.  G - mu is singular (right null vector
+    # g, left null vector psi); the rank-one pin p e_k e_k^T keeps the operator
+    # cyclic tridiagonal and invertible, and psi-orthogonality of the
+    # right-hand side forces h_k = 0, so h solves the singular system.
+    G = ops.operator(theta)
+    pin = np.zeros(g.size)
+    pin[int(np.argmax(pi))] = G.scale
+    h = G.shifted_diagonal(pin).shifted_solver(mu)(g * rhs)
+    f = h / g
+    f -= np.sum(f * pi)
+    gf = g * f
+    residual = float(np.max(np.abs((G.matvec(gf) - mu * gf) / g - rhs)))
     if residual > max(1e-8, 1e-8 * float(np.max(np.abs(rhs)))):
         raise SolvabilityError(f"corrector Poisson solve residual {residual:.3e} exceeds 1e-8")
     return f, c_theta, residual
@@ -228,8 +227,8 @@ def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, fl
     """Xi(theta) = integral of |V grad f|^2 + sigma^2 against psi g, with f
     the corrector; equals mu''(theta).  Returns (xi, f, c_theta, residual)."""
     f, c_theta, residual = solve_corrector(ops, theta)
-    ed = ops.eigendata(float(theta))
-    pi = ed.psi * ed.g * ops.weight
+    _, g, psi = ops.perron(float(theta))
+    pi = psi * g * ops.weight
     n = f.size
     fprime = (np.roll(f, -1) - np.roll(f, 1)) * (0.5 * n)
     xi = float(np.sum((ops.vv * fprime**2 + ops.sigma2) * pi))
@@ -272,17 +271,21 @@ def b3_margins(ops, theta: float, s_list) -> list[tuple[float, float]]:
     bound (not the Perron pair), so degenerate negative controls still
     produce reportable numbers."""
     theta = float(theta)
-    w0 = spectrum(ops.tilted(theta))
-    ref = float(np.log(np.max(np.abs(w0)))) if ops.is_chain else float(np.max(w0.real))
+    ref = spectral_envelope(ops, theta)
     out = []
     for s in s_list:
         s = float(s)
         if s == 0.0:
             raise ValueError("the complex-tilt gap condition is defined for s != 0 only")
-        w = spectrum(ops.tilted(complex(theta, s)))
-        top = float(np.log(np.max(np.abs(w)))) if ops.is_chain else float(np.max(w.real))
-        out.append((s, ref - top))
+        out.append((s, ref - spectral_envelope(ops, complex(theta, s))))
     return out
+
+
+def spectral_envelope(ops, z: complex) -> float:
+    """Top of the whole spectrum on the cumulant scale: the largest real
+    part (generators) or the log spectral radius (chains)."""
+    w = spectrum(ops.tilted(z))
+    return float(np.log(np.max(np.abs(w)))) if ops.is_chain else float(np.max(w.real))
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ._eigen import spectrum, top_eigen_data
+from ._eigen import top_eigen_data
 from ._parallel import parallel_map
 from .discretize import operators_for, _float_gcd
 from .errors import ConvergenceError, DegenerateSpectrumError, ModelValidationError
 from .model import DiscreteChainSpec, EvaluationFrame, ModelSpec
 from .spectral import (b3_margins, convexity_profile, decay_profile,
-                       _time_op_normalized)
+                       spectral_envelope, _gap_mu_scale, _time_op_normalized)
 
 MAX_ORACLE_STEPS = 60
 MAX_ORACLE_CELLS = 1_000_000
@@ -242,24 +242,11 @@ def _check_b2(ops, thetas) -> ConditionVerdict:
     try:
         for th in thetas:
             ed = ops.eigendata(th)
-            gaps[th] = _gap_per_time(ops, ed)
+            gaps[th] = _gap_mu_scale(ops, ed)
     except DegenerateSpectrumError as exc:
         return ConditionVerdict("B2", False, {"gaps": gaps}, note=str(exc))
     ok = all(g > 0.0 for g in gaps.values())
     return ConditionVerdict("B2", ok, {"gaps": gaps, "min_gap": min(gaps.values())})
-
-
-def _gap_per_time(ops, ed) -> float:
-    if not ops.is_chain:
-        return ed.gap
-    lam = abs(ed.value)
-    rest = lam - ed.gap
-    return np.inf if rest <= 0 else float(np.log(lam) - np.log(rest))
-
-
-def _envelope_mu(ops, theta: float) -> float:
-    w = spectrum(ops.tilted(float(theta)))
-    return float(np.log(np.max(np.abs(w)))) if ops.is_chain else float(np.max(w.real))
 
 
 def _check_b3_suite(ops, thetas, svals) -> ConditionVerdict:
@@ -320,7 +307,7 @@ def _check_d3(spec, ops, thetas, frame, n) -> ConditionVerdict:
             dds = convexity_profile(spec, thetas, n=n)
         except DegenerateSpectrumError:
             # negative controls: fall back to the spectral envelope
-            mus = [_envelope_mu(ops, th) for th in thetas]
+            mus = [spectral_envelope(ops, th) for th in thetas]
             dds = []
             for i in range(1, len(thetas) - 1):
                 t0, t1, t2 = thetas[i - 1], thetas[i], thetas[i + 1]

@@ -27,8 +27,7 @@ def _report(num: int, label: str, started: float, **facts):
 
 
 def _fresh():
-
-    discretize._WORKSPACES.clear()
+    lx.clear_caches()
 
 
 def test_criterion_1_gaussian_rate_exactness():

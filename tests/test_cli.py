@@ -213,3 +213,25 @@ def test_emit_config_command(tmp_path):
     assert parsed["tol"] == 1e-6
     again = cli.parse_config_dict(parsed)
     assert again.raw == parsed
+
+
+def test_verify_conditions_reports_library_value_error(tmp_path):
+    # the default condition t-grid holds 1.5, which is no step count of a chain
+    payload = {"model": {"builtin": "noisy_two_state_chain"},
+               "theta_grid": [0.2, 0.5, 1.0],
+               "output_dir": str(tmp_path / "noisy")}
+    proc = run_cli(["verify-conditions", "--config", str(write_config(tmp_path, payload))])
+    assert proc.returncode == 1
+    assert "error: chain semigroup times must be nonnegative integers" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_expand_force_reports_library_value_error(tmp_path):
+    # the default t-grid holds 22.6, which is no step count of a chain
+    payload = {"model": {"builtin": "noisy_two_state_chain"},
+               "expand": {"a": 0.3},
+               "output_dir": str(tmp_path / "noisy")}
+    proc = run_cli(["expand", "--config", str(write_config(tmp_path, payload)), "--force"])
+    assert proc.returncode == 1
+    assert "error: chain horizons are integer step counts" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -157,3 +157,73 @@ def test_grid_convergence_mathieu(mathieu):
     mu256 = lx.cgf(mathieu, 1.0, n=256)
     mu512 = lx.cgf(mathieu, 1.0, n=512)
     assert abs(mu512 - mu256) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_cyclic_solver_matches_dense_lu(gradient_drift, n):
+    import scipy.linalg as sla
+    ops = operators_for(gradient_drift, n)
+    theta = 0.7
+    op = ops.operator(theta)
+    M = op.dense()
+    assert np.max(np.abs(op.up - op.lo)) > 0  # drift makes the stencil nonsymmetric
+    mu = ops.mu(theta)
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # (shift, forward tolerance): the near-Perron shift amplifies rounding by
+    # the condition number, so there both solvers agree only to ~1e-5
+    cases = [(complex(mu + 5e-9, 5e-9), 1e-3), (complex(0.5, 3.0), 1e-10),
+             (complex(-40.0, -1.0), 1e-10), (0.3, 1e-10)]
+    for sigma, tol in cases:
+        solve = op.shifted_solver(sigma)
+        A = M - sigma * np.eye(n)
+        lu = sla.lu_factor(A)
+        for trans in (False, True):
+            x = solve(r, trans=trans)
+            ref = sla.lu_solve(lu, r, trans=int(trans))
+            At = A.T if trans else A
+            backward = np.max(np.abs(At @ x - r)) / (np.max(np.abs(At)) * np.max(np.abs(x)))
+            assert backward < 1e-14, (sigma, trans, backward)
+            assert np.max(np.abs(x - ref)) < tol * np.max(np.abs(ref)), (sigma, trans)
+
+
+def test_cyclic_products_match_dense(mathieu):
+    ops = operators_for(mathieu, 64)
+    op = ops.operator(complex(0.5, 2.0))
+    M = op.dense()
+    assert np.array_equal(M, ops.tilted(complex(0.5, 2.0)))
+    u = np.random.default_rng(3).standard_normal(64)
+    assert np.allclose(op.matvec(u), M @ u, rtol=1e-13, atol=1e-12 * op.scale)
+    assert np.allclose(op.rmatvec(u), u @ M, rtol=1e-13, atol=1e-12 * op.scale)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 3.0])
+def test_banded_perron_and_top_pair_match_dense(mathieu, theta):
+    from ldp_expand._eigen import top_eigen_data
+    ops = operators_for(mathieu, 256)
+    mu, g, psi = ops.perron(theta)
+    ed = top_eigen_data(ops.tilted(theta), weight=ops.weight, positive=True)
+    assert abs(mu - ed.value) < 1e-10 * max(1.0, abs(ed.value))
+    assert np.max(np.abs(g - ed.g)) < 1e-10
+    assert np.max(np.abs(psi - ed.psi)) < 1e-10 * np.max(np.abs(ed.psi))
+    for s in (0.0, 2.0, 8.0):
+        value, g, psi = ops.top_pair(theta, s)
+        ed = top_eigen_data(ops.tilted(complex(theta, s)), weight=ops.weight)
+        assert abs(value - ed.value) < 1e-10 * max(1.0, abs(ed.value)), s
+        assert np.max(np.abs(g - ed.g)) < 1e-10, s
+        assert np.max(np.abs(psi - ed.psi)) < 1e-10 * np.max(np.abs(ed.psi)), s
+
+
+def test_cyclic_solver_at_an_eigenvalue_returns_its_vector(mathieu):
+    # a converged Rayleigh quotient is an eigenvalue to working precision;
+    # inverse iteration then needs a finite multiple of the eigenvector
+    ops = operators_for(mathieu, 256)
+    for theta in (0.2871632053371564, 1.0):
+        mu, g, psi = ops.perron(theta)
+        op = ops.operator(theta)
+        solve = op.shifted_solver(mu)
+        for vec, ref, trans in ((np.ones(256), g, False), (np.ones(256), psi, True)):
+            x = solve(vec, trans=trans)
+            assert np.all(np.isfinite(x))
+            x = x / x[int(np.argmax(np.abs(x)))]
+            assert np.max(np.abs(x - ref / np.max(ref))) < 1e-6

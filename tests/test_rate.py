@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import ldp_expand as lx
 from ldp_expand.discretize import operators_for
 from ldp_expand.errors import AdmissibleRangeError
-from ldp_expand.rate import _mu_prime
+from ldp_expand.spectral import spectral_mu_prime
 
 MATHIEU_GOLDEN_03 = (0.285536475104517, 0.0428302822520959, 0.951805048644368)
 
@@ -49,7 +49,7 @@ def test_duality_residual(mathieu):
     for a in (0.1, 0.3, 0.6):
         rp = lx.rate_point(mathieu, a, n=256)
         assert rp.duality_residual(ops.mu(rp.theta)) < 1e-10
-        assert abs(_mu_prime(ops, rp.theta) - a) < 1e-10
+        assert abs(spectral_mu_prime(ops, rp.theta) - a) < 1e-10
         assert rp.curvature > 0
 
 
