@@ -16,15 +16,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._parallel import prefetched
 from .discretize import operators_for
 from .errors import DegenerateSpectrumError, SampleSizeError
-from .fields import FourierField, TabulatedField
+from .fields import FourierField, TabulatedField, _periodic_interp
 from .model import EvaluationFrame, TorusDiffusionSpec
 from .rate import rate_point
 from .spectral import effective_diffusivity_core, solve_corrector
 
 MAX_DT = 1e-2
 _BLOCK_STEPS = 32
+# The stepper's coefficient grid has at least this many cells.  Linear
+# interpolation of a Fourier field of top harmonic K is then within
+# (2 pi K)^2 / (8 m^2) * sum|coef| of the field (4.7e-6 for cos(2 pi x)).
+_TABLE_MIN_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -76,13 +81,17 @@ def _stream_key(seed: int, stream: int) -> np.ndarray:
     return ss.generate_state(2, np.uint64)
 
 
-def _noise_block(seed: int, stream: int, block: int, shape) -> np.ndarray:
+def _philox_normals(key: np.ndarray, block: int, shape) -> np.ndarray:
     counter = np.zeros(4, dtype=np.uint64)
     counter[2] = np.uint64(block)
-    bitgen = np.random.Philox(counter=counter, key=_stream_key(seed, stream))
     out = np.empty(shape)
-    np.random.Generator(bitgen).standard_normal(out=out.reshape(-1))
+    np.random.Generator(np.random.Philox(counter=counter, key=key)).standard_normal(
+        out=out.reshape(-1))
     return out
+
+
+def _noise_block(seed: int, stream: int, block: int, shape) -> np.ndarray:
+    return _philox_normals(_stream_key(seed, stream), block, shape)
 
 
 def _uniform_block(seed: int, stream: int, size: int) -> np.ndarray:
@@ -91,12 +100,17 @@ def _uniform_block(seed: int, stream: int, size: int) -> np.ndarray:
     return np.random.Generator(bitgen).random(size)
 
 
-def _compile(field):
-    """Constant fields evaluate to scalars inside the stepping loop."""
-    if isinstance(field, FourierField) and field.is_constant:
-        c = float(field.const)
-        return lambda x, _c=c: _c
-    return field
+def _is_const(field) -> bool:
+    return isinstance(field, FourierField) and field.is_constant
+
+
+def _check_run(t: float, dt: float, n_paths: int, min_paths: int = 1) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt={dt} must be finite and positive")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t={t} must be finite and nonnegative")
+    if n_paths < min_paths:
+        raise ValueError(f"n_paths={n_paths} must be at least {min_paths}")
 
 
 def euler_maruyama(spec: TorusDiffusionSpec, t: float, dt: float, n_paths: int,
@@ -111,19 +125,12 @@ def euler_maruyama(spec: TorusDiffusionSpec, t: float, dt: float, n_paths: int,
     """
     if not isinstance(spec, TorusDiffusionSpec):
         raise TypeError("path simulation is defined for torus diffusions")
+    _check_run(t, dt, n_paths)
     if dt > MAX_DT * (1 + 1e-12):
         raise ValueError(f"dt={dt} too large; the stepper requires dt <= {MAX_DT}")
     n_steps = round(t / dt)
     if abs(n_steps * dt - t) > 1e-9 * max(1.0, t):
         raise ValueError(f"t={t} must be an integer multiple of dt={dt}")
-
-    def is_const(f):
-        return isinstance(f, FourierField) and f.is_constant
-
-    k = len(spec.fields_v)
-    v_const = all(is_const(f) for f in spec.fields_v)
-    b_const = is_const(spec.obs_drift_b)
-    sigma_const = is_const(spec.obs_noise_sigma)
 
     if x_init is not None:
         X = np.asarray(x_init, dtype=float).copy()
@@ -135,11 +142,11 @@ def euler_maruyama(spec: TorusDiffusionSpec, t: float, dt: float, n_paths: int,
         x_start = np.full(1, float(x0))
     Y = np.zeros(n_paths)
 
-    if v_const and is_const(spec.drift_v0) and b_const and sigma_const:
-        _advance_linear(spec, X, Y, n_steps, dt, n_paths, seed, k)
+    if all(_is_const(f) for f in (*spec.fields_v, spec.drift_v0,
+                                  spec.obs_drift_b, spec.obs_noise_sigma)):
+        _advance_linear(spec, X, Y, n_steps, dt, n_paths, seed, len(spec.fields_v))
     else:
-        _advance_stepping(spec, X, Y, n_steps, dt, n_paths, seed, k,
-                          v_const, b_const, sigma_const, stratonovich)
+        _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich)
     X -= np.floor(X)
     return TrajectoryBatch(t=float(t), dt=float(dt), n_paths=int(n_paths),
                            seed=int(seed), x_initial=x_start, x_final=X, y_final=Y)
@@ -168,61 +175,109 @@ def _advance_linear(spec, X, Y, n_steps, dt, n_paths, seed, k):
         Y += bc * (n_steps * dt)
 
 
-def _advance_stepping(spec, X, Y, n_steps, dt, n_paths, seed, k,
-                      v_const, b_const, sigma_const, stratonovich):
-    v_funcs = [_compile(f) for f in spec.fields_v]
-    v0 = _compile(spec.drift_v0)
-    v0_zero = isinstance(spec.drift_v0, FourierField) and spec.drift_v0.is_constant \
-        and spec.drift_v0.const == 0.0
-    b = _compile(spec.obs_drift_b)
-    sigma = _compile(spec.obs_noise_sigma)
-    strat = None if v_const or not stratonovich else spec.stratonovich_correction
-    sqdt = math.sqrt(dt)
-    tmp = np.empty(n_paths)
+def _table_cells(fields) -> int:
+    """Cells m of the stepper's coefficient grid: the smallest multiple of
+    every tabulated field's size that is at least ``_TABLE_MIN_CELLS``, so a
+    tabulated field is reproduced exactly up to rounding."""
+    unit = math.lcm(1, *(f.n for f in fields if isinstance(f, TabulatedField)))
+    return unit * -(-_TABLE_MIN_CELLS // unit)
 
-    for bidx, block in enumerate(range(0, n_steps, _BLOCK_STEPS)):
-        rows = min(_BLOCK_STEPS, n_steps - block)
-        dwx = _noise_block(seed, 0, bidx, (rows, k, n_paths))
+
+def _grid_table(node_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, slope) at the m + 1 nodes j / m; node m repeats node 0, so a
+    position that rounds up to 1.0 reads the value at 0."""
+    value = np.append(node_values, node_values[0])
+    return value, np.append(np.diff(value), 0.0)
+
+
+def _lookup(table, idx, frac, out, scratch):
+    """Linear interpolation value[idx] + slope[idx] * frac, written to out."""
+    table[1].take(idx, out=out, mode="clip")
+    out *= frac
+    out += table[0].take(idx, out=scratch, mode="clip")
+    return out
+
+
+def _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich):
+    """Per-step Euler with every non-constant coefficient read from one
+    periodic grid table (linear interpolation, one cell lookup per step for
+    all of them).  X is kept wrapped into [0, 1].  Noise blocks are drawn
+    ahead on a worker thread when LDP_EXPAND_THREADS >= 2; the blocks and
+    the result are the same for any thread count."""
+    n_paths, k = X.size, len(spec.fields_v)
+    sigma = spec.obs_noise_sigma
+    v_scale = [float(f.const) if _is_const(f) else None for f in spec.fields_v]
+    v_const = None not in v_scale
+    m = _table_cells([f for f in (*spec.fields_v, spec.drift_v0, spec.obs_drift_b, sigma)
+                      if not _is_const(f)])
+    nodes = np.arange(m) / m
+
+    # drift tables carry the factor dt; V_i and sigma tables multiply the noise
+    x_shift, x_drift = 0.0, None
+    if not v_const and stratonovich:
+        x_drift = _grid_table((spec.drift_v0(nodes) + spec.stratonovich_correction(nodes)) * dt)
+    elif _is_const(spec.drift_v0):
+        x_shift = float(spec.drift_v0.const) * dt
+    else:
+        x_drift = _grid_table(spec.drift_v0(nodes) * dt)
+    v_tables = [None if s is not None else _grid_table(f(nodes))
+                for f, s in zip(spec.fields_v, v_scale)]
+    y_drift = None if _is_const(spec.obs_drift_b) else _grid_table(spec.obs_drift_b(nodes) * dt)
+    y_noise = None if _is_const(sigma) else _grid_table(sigma(nodes))
+
+    keys = _stream_key(seed, 0), _stream_key(seed, 1)
+    sqdt = math.sqrt(dt)
+
+    def draw(block):
+        rows = min(_BLOCK_STEPS, n_steps - block * _BLOCK_STEPS)
+        dwx = _philox_normals(keys[0], block, (rows, k, n_paths))
         dwx *= sqdt
-        if v_const:
-            for i in range(k):
-                ci = float(spec.fields_v[i].const)
-                if ci != 1.0:
-                    dwx[:, i, :] *= ci
-        if sigma_const:
+        for i, s in enumerate(v_scale):
+            if s is not None and s != 1.0:
+                dwx[:, i, :] *= s
+        if y_noise is None:
             # the observable stream is independent of X; with constant sigma
             # its block noise aggregates exactly into one normal
-            eta = _noise_block(seed, 1, bidx, (n_paths,))
-            Y += (float(spec.obs_noise_sigma.const) * math.sqrt(rows * dt)) * eta
-            dwy = None
+            dwy = _philox_normals(keys[1], block, (n_paths,))
+            dwy *= float(sigma.const) * math.sqrt(rows * dt)
         else:
-            dwy = _noise_block(seed, 1, bidx, (rows, n_paths))
+            dwy = _philox_normals(keys[1], block, (rows, n_paths))
             dwy *= sqdt
-        for r in range(rows):
-            # all coefficients evaluate at the pre-step X
-            if not b_const:
-                np.multiply(b(X), dt, out=tmp)
-                Y += tmp
-            if dwy is not None:
-                Y += sigma(X) * dwy[r]
-            if v_const:
-                if not v0_zero:
-                    X += np.asarray(v0(X)) * dt
-                for i in range(k):
+        return dwx, dwy
+
+    X -= np.floor(X)
+    frac, cell, term, scratch = (np.empty(n_paths) for _ in range(4))
+    idx = np.empty(n_paths, dtype=np.intp)
+    for dwx, dwy in prefetched(draw, range(-(-n_steps // _BLOCK_STEPS))):
+        if y_noise is None:
+            Y += dwy
+        for r in range(dwx.shape[0]):
+            # every coefficient reads the pre-step cell
+            np.multiply(X, m, out=frac)
+            np.floor(frac, out=cell)
+            np.copyto(idx, cell, casting="unsafe")
+            frac -= cell
+            if y_drift is not None:
+                Y += _lookup(y_drift, idx, frac, term, scratch)
+            if y_noise is not None:
+                _lookup(y_noise, idx, frac, term, scratch)
+                term *= dwy[r]
+                Y += term
+            if x_drift is not None:
+                X += _lookup(x_drift, idx, frac, term, scratch)
+            elif x_shift:
+                X += x_shift
+            for i, table in enumerate(v_tables):
+                if table is None:
                     X += dwx[r, i]
-            else:
-                np.multiply(v_funcs[0](X), dwx[r, 0], out=tmp)
-                for i in range(1, k):
-                    tmp += v_funcs[i](X) * dwx[r, i]
-                drift = strat(X) if strat is not None else 0.0
-                if not v0_zero:
-                    drift = drift + np.asarray(v0(X))
-                if not np.isscalar(drift) or drift:
-                    tmp += np.asarray(drift) * dt
-                X += tmp
-    bconst_val = float(spec.obs_drift_b.const) if b_const else 0.0
-    if bconst_val:
-        Y += bconst_val * (n_steps * dt)
+                else:
+                    _lookup(table, idx, frac, term, scratch)
+                    term *= dwx[r, i]
+                    X += term
+            np.floor(X, out=cell)
+            X -= cell
+    if _is_const(spec.obs_drift_b) and spec.obs_drift_b.const:
+        Y += float(spec.obs_drift_b.const) * (n_steps * dt)
 
 
 def tilted_dynamics(spec: TorusDiffusionSpec, theta: float, *,
@@ -257,6 +312,7 @@ def estimate_tail_is(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
                      n: int | None = None) -> ISEstimate:
     """Importance-sampled tail estimate under the tilted dynamics with the
     change-of-measure weight  e^{-theta Y_t + t mu(theta)} g(X_0)/g(X_t)."""
+    _check_run(t, dt, n_paths, min_paths=2)
     rp = rate_point(spec, a, n=n)
     theta = rp.theta
     ops = operators_for(spec, n)
@@ -267,7 +323,7 @@ def estimate_tail_is(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
     batch = euler_maruyama(tspec, t, dt, n_paths, seed, x0=x0)
     mu_t = ops.mu(theta)
     log_w = (-theta * batch.y_final + t * mu_t
-             + log_g[i0] - _periodic_lookup(log_g, batch.x_final))
+             + log_g[i0] - _periodic_interp(batch.x_final, log_g))
     hits = batch.y_final >= a * t
     w = np.where(hits, np.exp(log_w), 0.0)
     p_hat = float(np.mean(w))
@@ -290,26 +346,17 @@ def estimate_tail_mc(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
                      n: int | None = None) -> ISEstimate:
     """Naive indicator-mean baseline; documents zero-hit outcomes instead of
     raising so that rare-event failure is visible data."""
+    _check_run(t, dt, n_paths, min_paths=2)
     ops = operators_for(spec, n)
     i0 = frame.index_on(ops.grid.n)
     batch = euler_maruyama(spec, t, dt, n_paths, seed, x0=i0 * ops.dx)
     hits = batch.y_final >= a * t
     w = hits.astype(float)
     p_hat = float(np.mean(w))
-    stderr = float(np.std(w, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    stderr = float(np.std(w, ddof=1) / np.sqrt(n_paths))
     n_hits = int(np.count_nonzero(hits))
     return ISEstimate(p_hat=p_hat, stderr=stderr, ess=float(n_hits), theta=0.0,
                       n_paths=int(n_paths), n_hits=n_hits)
-
-
-def _periodic_lookup(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = table.size
-    pos = (x - np.floor(x)) * n
-    i0 = np.floor(pos).astype(np.intp)
-    frac = pos - i0
-    i0 = np.mod(i0, n)
-    i1 = (i0 + 1) % n
-    return (1.0 - frac) * table[i0] + frac * table[i1]
 
 
 def corrector(spec: TorusDiffusionSpec, theta: float, *, n: int | None = None) -> Corrector:
@@ -336,6 +383,8 @@ def decorrelation_check(spec: TorusDiffusionSpec, theta: float, t_list,
     started from the stationary tilted law."""
     theta = float(theta)
     t_list = [float(t) for t in t_list]
+    for t in t_list:
+        _check_run(t, dt, n_paths, min_paths=2)
     if not t_list:
         return DecorrelationReport(theta=theta, rows=())
     ops = operators_for(spec, n)
@@ -353,7 +402,7 @@ def decorrelation_check(spec: TorusDiffusionSpec, theta: float, t_list,
     rows = []
     for t in sorted(t_list):
         batch = euler_maruyama(tspec, t, dt, n_paths, seed, x_init=x_init)
-        vals = (batch.y_final - c_theta * t) * _periodic_lookup(dlng, batch.x_final)
+        vals = (batch.y_final - c_theta * t) * _periodic_interp(batch.x_final, dlng)
         stat = float(np.mean(vals) / t)
         stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths) / t)
         rows.append((t, stat, stderr))

@@ -235,3 +235,14 @@ def test_expand_force_reports_library_value_error(tmp_path):
     assert proc.returncode == 1
     assert "error: chain horizons are integer step counts" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_simulate_rejects_bad_step_and_horizon(tmp_path):
+    path = write_config(tmp_path, dict(BASE, output_dir=str(tmp_path / "sim")))
+    for flags, message in ((["--dt", "0"], "dt=0.0"), (["--dt", "-0.01"], "dt=-0.01"),
+                           (["--t", "-1"], "t=-1.0")):
+        proc = run_cli(["simulate", "--config", str(path), *flags])
+        assert proc.returncode == 1, (flags, proc.stdout)
+        assert f"error: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "p_hat" not in proc.stdout

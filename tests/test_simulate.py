@@ -1,18 +1,138 @@
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import ldp_expand as lx
-from ldp_expand import fields
+from ldp_expand import fields, simulate
 from ldp_expand.errors import SampleSizeError
 from ldp_expand.model import TorusDiffusionSpec
 
 
-def test_dt_and_horizon_preconditions(gaussian):
+def _nonconstant_v_spec():
+    return TorusDiffusionSpec(fields_v=(fields.harmonic("cos", 1, amplitude=0.3).shifted(1.0),),
+                              drift_v0=fields.zero(), obs_drift_b=fields.zero(),
+                              obs_noise_sigma=fields.constant(1.0))
+
+
+@pytest.fixture(scope="module")
+def tilted_mathieu(mathieu):
+    theta = lx.rate_point(mathieu, 0.3, n=256).theta
+    return lx.tilted_dynamics(mathieu, theta, n=256)
+
+
+def test_dt_and_horizon_preconditions(gaussian, mathieu):
     with pytest.raises(ValueError, match="dt"):
         lx.euler_maruyama(gaussian, 1.0, 0.05, 10, seed=0)
     with pytest.raises(ValueError, match="multiple"):
         lx.euler_maruyama(gaussian, 1.005, 0.01, 10, seed=0)
+    for spec in (gaussian, mathieu):
+        for dt in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt"):
+                lx.euler_maruyama(spec, 1.0, dt, 10, seed=0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t="):
+                lx.euler_maruyama(spec, t, 0.01, 10, seed=0)
+        with pytest.raises(ValueError, match="n_paths"):
+            lx.euler_maruyama(spec, 1.0, 0.01, 0, seed=0)
+    assert lx.euler_maruyama(mathieu, 0.0, 0.01, 3, seed=0).y_final.tolist() == [0.0] * 3
+
+
+def test_estimators_need_two_paths(gaussian, frame):
+    for estimate in (lx.estimate_tail_is, lx.estimate_tail_mc):
+        with pytest.raises(ValueError, match="n_paths"):
+            estimate(gaussian, frame, 1.0, 2.0, 1e-2, 1, seed=0, n=64)
+        with pytest.raises(ValueError, match="dt"):
+            estimate(gaussian, frame, 1.0, 2.0, 0.0, 100, seed=0, n=64)
+    with pytest.raises(ValueError, match="n_paths"):
+        lx.decorrelation_check(gaussian, 1.0, [1.0], 1, seed=0, n=64)
+
+
+def test_noise_blocks_keep_the_philox_layout():
+    # digests of blocks drawn by the per-block Philox construction: stream
+    # key from SeedSequence(seed, spawn_key=(stream,)), counter word 2 = block
+    golden = {(2026, 0, 0, (4,)): "1687b39723112984d70b247cc987b59e31aaa86e9c2868c8676e6df0d024c301",
+              (2026, 1, 5, (3, 7)): "66d8c52081af52464dc4145e4a25adc4ea2f3c6e045b2b0094b99a5089582108",
+              (907, 0, 937, (8, 1, 125)): "4e87a8e62788b97545c7bcd1733815fc0d0afc90db6f6cc04eb7bd6b1646a94c"}
+    for args, digest in golden.items():
+        assert hashlib.sha256(simulate._noise_block(*args).tobytes()).hexdigest() == digest
+
+
+def _reference_paths(spec, t, dt, x_init, seed):
+    """Per-step Euler through the fields' own __call__, for V = 1 constant:
+    the loop the table-driven stepper replaces."""
+    sigma = spec.obs_noise_sigma
+    sigma_const = isinstance(sigma, fields.FourierField) and sigma.is_constant
+    n_steps, n_paths = round(t / dt), x_init.size
+    X, Y = x_init.copy(), np.zeros(n_paths)
+    for bidx, block in enumerate(range(0, n_steps, simulate._BLOCK_STEPS)):
+        rows = min(simulate._BLOCK_STEPS, n_steps - block)
+        dwx = simulate._noise_block(seed, 0, bidx, (rows, 1, n_paths)) * math.sqrt(dt)
+        if sigma_const:
+            Y += sigma.const * math.sqrt(rows * dt) * simulate._noise_block(seed, 1, bidx, (n_paths,))
+        else:
+            dwy = simulate._noise_block(seed, 1, bidx, (rows, n_paths)) * math.sqrt(dt)
+        for r in range(rows):
+            drift = spec.drift_v0(X)
+            Y += spec.obs_drift_b(X) * dt
+            if not sigma_const:
+                Y += sigma(X) * dwy[r]
+            X += drift * dt + dwx[r, 0]
+    return X - np.floor(X), Y
+
+
+def test_table_stepper_matches_per_step_reference(tilted_mathieu):
+    t, dt, seed = 0.2, 1e-3, 907  # 200 steps
+    # the last two paths read the wrap node m: through the slope of cell
+    # m - 1, and directly (-2^-60 wraps to exactly 1.0)
+    x_init = np.append(np.arange(64) / 64 + 1 / 128, [1.0 - 2.0**-53, -2.0**-60])
+    grid = np.arange(256) / 256
+    tabulated = replace(tilted_mathieu,
+                        obs_drift_b=fields.TabulatedField(tuple(tilted_mathieu.obs_drift_b(grid))))
+    assert isinstance(tabulated.drift_v0, fields.TabulatedField)
+    noisy = replace(tabulated, obs_noise_sigma=fields.TabulatedField(
+        tuple(1.0 + 0.3 * np.sin(2 * np.pi * grid))))
+    for spec in (tabulated, noisy, tilted_mathieu):
+        batch = lx.euler_maruyama(spec, t, dt, x_init.size, seed, x_init=x_init)
+        x_ref, y_ref = _reference_paths(spec, t, dt, x_init, seed)
+        dx = np.abs((batch.x_final - x_ref + 0.5) % 1.0 - 0.5)
+        assert np.max(dx) < 1e-12
+        dy = np.max(np.abs(batch.y_final - y_ref))
+        if spec is tilted_mathieu:
+            # linear interpolation of cos(2 pi x) on m cells, accumulated over t
+            m = simulate._TABLE_MIN_CELLS
+            assert 0.0 < dy <= t * (2 * np.pi) ** 2 / (8 * m**2)
+        else:
+            assert dy < 1e-12
+
+
+def test_stepper_output_independent_of_thread_count(monkeypatch, tilted_mathieu):
+    for spec in (tilted_mathieu, _nonconstant_v_spec()):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LDP_EXPAND_THREADS", threads)
+            runs.append(lx.euler_maruyama(spec, 0.5, 1e-3, 300, seed=17))
+        assert np.array_equal(runs[0].x_final, runs[1].x_final)
+        assert np.array_equal(runs[0].y_final, runs[1].y_final)
+
+
+def test_field_calls_do_not_grow_with_steps(monkeypatch, tilted_mathieu):
+    calls = []
+    for cls in (fields.FourierField, fields.TabulatedField):
+        def counted(self, x, _call=cls.__call__):
+            calls.append(1)
+            return _call(self, x)
+        monkeypatch.setattr(cls, "__call__", counted)
+    for spec in (tilted_mathieu, _nonconstant_v_spec()):
+        counts = []
+        for t in (0.05, 0.4):
+            calls.clear()
+            lx.euler_maruyama(spec, t, 1e-3, 50, seed=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4
 
 
 def test_constant_v_ito_equals_stratonovich(gradient_drift):
@@ -23,9 +143,7 @@ def test_constant_v_ito_equals_stratonovich(gradient_drift):
 
 
 def test_nonconstant_v_correction_changes_paths():
-    spec = TorusDiffusionSpec(fields_v=(fields.harmonic("cos", 1, amplitude=0.3).shifted(1.0),),
-                              drift_v0=fields.zero(), obs_drift_b=fields.zero(),
-                              obs_noise_sigma=fields.constant(1.0))
+    spec = _nonconstant_v_spec()
     a = lx.euler_maruyama(spec, 0.5, 1e-2, 200, seed=4, stratonovich=True)
     b = lx.euler_maruyama(spec, 0.5, 1e-2, 200, seed=4, stratonovich=False)
     assert not np.array_equal(a.x_final, b.x_final)
