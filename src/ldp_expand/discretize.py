@@ -604,10 +604,7 @@ class ChainOperators:
         if np.any(self.var > 0.0):
             return None
         base = float(self.m[0])
-        span = 0.0
-        for v in self.m[1:]:
-            span = _float_gcd(span, abs(float(v) - base))
-        return (span, base)
+        return (lattice_span(self.m, base), base)
 
     def nmgf(self, z: complex, ns: np.ndarray, frame: EvaluationFrame, mu_ref: float) -> np.ndarray:
         """Normalized transform  E_x0[e^{z S_n}] * lambda(theta)^{-n} over step
@@ -627,6 +624,15 @@ class ChainOperators:
             for k in want.get(step, ()):
                 out[k] = u[i0]
         return out
+
+
+def lattice_span(values, base: float) -> float:
+    """Largest span h with every value in base + h Z (to 1e-9); 0 when all
+    values equal base."""
+    span = 0.0
+    for v in values:
+        span = _float_gcd(span, abs(float(v) - base))
+    return span
 
 
 def _float_gcd(a: float, b: float, tol: float = 1e-9) -> float:

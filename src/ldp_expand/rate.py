@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .discretize import operators_for
 from .errors import AdmissibleRangeError, ConvergenceError
 from .model import ModelSpec
@@ -14,6 +12,9 @@ from .spectral import FD_STEP, spectral_mu_prime
 DEFAULT_THETA_MAX = 8.0
 # theta values at which mu'(theta) would overflow the semigroup scale
 THETA_HARD_CAP = 64.0
+# root-finding steps of solve_theta; bisection alone halves the bracket to
+# 1e-14 relative within 60
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ def _mu_second(ops, theta: float, h: float = FD_STEP) -> float:
 
 def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
                 theta_max: float = DEFAULT_THETA_MAX) -> float:
-    """Unique tilt with mu'(theta_a) = a, by bracketed root finding plus a
-    Newton polish.  The admissible range is the open interval
+    """Unique tilt with mu'(theta_a) = a, by secant steps safeguarded by
+    bisection on a bracket.  The admissible range is the open interval
     (mu'(0), mu'(theta_max)), with the bracket expanded by doubling while the
     requested level remains out of reach."""
     ops = operators_for(spec, n)
@@ -58,16 +59,32 @@ def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
             f"a={a:.6g} outside the admissible open range ({dlo:.6g}, {dhi:.6g}) "
             f"explored over theta in [0, {hi:.6g}]")
 
-    theta = brentq(lambda th: spectral_mu_prime(ops, th) - a, lo, hi, xtol=1e-13)
-    for _ in range(2):
-        d2 = _mu_second(ops, theta)
-        if d2 <= 0.0:
-            raise ConvergenceError(
-                f"mu''({theta:.6g}) = {d2:.3e} is not positive: convexity condition violated")
-        step = (spectral_mu_prime(ops, theta) - a) / d2
-        theta -= step
-        if abs(step) < 1e-14 * max(1.0, abs(theta)):
+    # mu' - a increases through zero on [lo, hi].  Secant steps through the
+    # two latest points, from the bracket ends on; a step that would leave
+    # the bracket, which shrinks at every evaluation, is a bisection.
+    prev, f_prev = hi, dhi - a
+    theta = lo + (hi - lo) * (a - dlo) / (dhi - dlo)
+    for _ in range(_MAX_STEPS):
+        f = spectral_mu_prime(ops, theta) - a
+        if f == 0.0:
             break
+        if f < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        tol = 1e-14 * max(1.0, abs(theta))
+        if hi - lo < tol:
+            break
+        slope = (f - f_prev) / (theta - prev)
+        step = f / slope if slope > 0.0 else float("inf")
+        if abs(step) < tol:
+            break
+        prev, f_prev = theta, f
+        theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
+    d2 = _mu_second(ops, theta)
+    if d2 <= 0.0:
+        raise ConvergenceError(
+            f"mu''({theta:.6g}) = {d2:.3e} is not positive: convexity condition violated")
     resid = abs(spectral_mu_prime(ops, theta) - a)
     if resid > 1e-10:
         raise ConvergenceError(f"mu'(theta_a) missed a by {resid:.3e} (> 1e-10)")

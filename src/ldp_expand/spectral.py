@@ -430,10 +430,16 @@ def convexity_profile(spec: ModelSpec, theta_grid, *, n: int | None = None) -> l
     theta triples; all must be positive under the convexity condition."""
     ops = operators_for(spec, n)
     thetas = sorted(float(t) for t in theta_grid)
-    mus = [ops.mu(t) for t in thetas]
+    return second_divided_differences(thetas, [ops.mu(t) for t in thetas])
+
+
+def second_divided_differences(thetas, values) -> list[tuple[float, float]]:
+    """(t_i, 2 f[t_{i-1}, t_i, t_{i+1}]) at each interior t_i, in the order
+    given: twice the second divided difference, an estimate of f''."""
     out = []
     for i in range(1, len(thetas) - 1):
         t0, t1, t2 = thetas[i - 1], thetas[i], thetas[i + 1]
-        dd = 2.0 * ((mus[i + 1] - mus[i]) / (t2 - t1) - (mus[i] - mus[i - 1]) / (t1 - t0)) / (t2 - t0)
+        dd = 2.0 * ((values[i + 1] - values[i]) / (t2 - t1)
+                    - (values[i] - values[i - 1]) / (t1 - t0)) / (t2 - t0)
         out.append((t1, dd))
     return out

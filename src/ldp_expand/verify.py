@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from ._eigen import top_eigen_data
+from ._eigen import rqi_pair, top_eigen_data
 from ._parallel import parallel_map
-from .discretize import operators_for, _float_gcd
+from .discretize import lattice_span, operators_for
 from .errors import ConvergenceError, DegenerateSpectrumError, ModelValidationError
 from .model import DiscreteChainSpec, EvaluationFrame, ModelSpec
 from .spectral import (b3_margins, convexity_profile, decay_profile,
-                       spectral_envelope, _gap_mu_scale, _time_op_normalized)
+                       second_divided_differences, spectral_envelope,
+                       _gap_mu_scale, _time_op_normalized)
 
 MAX_ORACLE_STEPS = 60
 MAX_ORACLE_CELLS = 1_000_000
@@ -73,9 +73,7 @@ def _lattice_distribution(chain: DiscreteChainSpec, n_steps: int, x0: int) -> Ch
     P = chain.transition_matrix()
     m = chain.means()
     base = float(np.min(m))
-    span = 0.0
-    for v in m:
-        span = _float_gcd(span, abs(float(v) - base))
+    span = lattice_span(m, base)
     if span == 0.0:
         values = np.array([base * n_steps])
         return ChainTailOracle(n_steps=n_steps, values=values, probs=np.array([1.0]))
@@ -106,6 +104,9 @@ def _lattice_distribution(chain: DiscreteChainSpec, n_steps: int, x0: int) -> Ch
 
 def _gaussian_tail_dp(chain: DiscreteChainSpec, n_steps: int, x0: int, y: float,
                       n_cells: int) -> float:
+    # scipy.special is imported here, off the package import path
+    from scipy.special import ndtr
+
     if n_cells > MAX_ORACLE_CELLS:
         raise ModelValidationError("value grid exceeds the desk-scale cell budget")
     P = chain.transition_matrix()
@@ -220,12 +221,12 @@ def _check_b1_surrogate(ops, thetas) -> ConditionVerdict:
     reproduced by a degree-4 polynomial to 1e-8."""
     radius, degree = 0.05, 4
     worst = 0.0
+    fallbacks = 0
     try:
         for th in thetas:
-            zs = [complex(th, 0.0)]
-            for r in (0.4 * radius, radius):
-                zs += [th + r * np.exp(2j * np.pi * k / 8) for k in range(8)]
-            vals = np.array([complex(ops.eigendata(z).value) for z in zs])
+            zs = _disc_points(th, radius)
+            vals, dense = _disc_values(ops, zs)
+            fallbacks += dense
             dz = np.array(zs) - th
             design = np.column_stack([dz**p for p in range(degree + 1)])
             coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
@@ -234,7 +235,46 @@ def _check_b1_surrogate(ops, thetas) -> ConditionVerdict:
     except DegenerateSpectrumError as exc:
         return ConditionVerdict("B1", False, {"residual": np.inf}, note=str(exc))
     return ConditionVerdict("B1", worst < 1e-8, {"residual": worst,
-                                                 "disc_radius": radius, "degree": degree})
+                                                 "disc_radius": radius, "degree": degree,
+                                                 "dense_fallbacks": fallbacks})
+
+
+def _disc_points(th: float, radius: float) -> list[complex]:
+    """The centre th, then 8 points on the circle of radius 0.4 r and 8 on
+    the circle of radius r, at the same angles."""
+    zs = [complex(th, 0.0)]
+    for r in (0.4 * radius, radius):
+        zs += [th + r * np.exp(2j * np.pi * k / 8) for k in range(8)]
+    return zs
+
+
+def _disc_values(ops, zs) -> tuple[np.ndarray, int]:
+    """Top eigenvalues at the real centre zs[0] and on two rings of 8 points
+    (inner ring first), with the number of off-centre points solved densely.
+
+    The centre is the cached dense solve.  On a diffusion each inner-ring
+    point continues the centre pair, and each outer-ring point the inner
+    pair at its angle, by two-sided Rayleigh-quotient iteration on the
+    banded G(z).  A pair is kept only when the iteration converged within
+    half the centre gap of the centre value, i.e. on the top branch;
+    otherwise the point is solved densely, as are all points of a chain."""
+    centre = ops.eigendata(zs[0])
+    vals = [complex(centre.value)]
+    if ops.is_chain:
+        vals += [complex(ops.eigendata(z).value) for z in zs[1:]]
+        return np.array(vals), 0
+    dense = 0
+    seeds = [(centre.g, centre.psi)] * 8
+    for ring in (zs[1:9], zs[9:]):
+        for k, z in enumerate(ring):
+            pair = rqi_pair(ops.operator(z), *seeds[k], ops.weight)
+            if pair is None or not abs(pair[0] - centre.value) < 0.5 * centre.gap:
+                ed = ops.eigendata(z)
+                pair = (ed.value, ed.g, ed.psi)
+                dense += 1
+            vals.append(complex(pair[0]))
+            seeds[k] = pair[1:]
+    return np.array(vals), dense
 
 
 def _check_b2(ops, thetas) -> ConditionVerdict:
@@ -307,13 +347,8 @@ def _check_d3(spec, ops, thetas, frame, n) -> ConditionVerdict:
             dds = convexity_profile(spec, thetas, n=n)
         except DegenerateSpectrumError:
             # negative controls: fall back to the spectral envelope
-            mus = [spectral_envelope(ops, th) for th in thetas]
-            dds = []
-            for i in range(1, len(thetas) - 1):
-                t0, t1, t2 = thetas[i - 1], thetas[i], thetas[i + 1]
-                dd = 2.0 * ((mus[i + 1] - mus[i]) / (t2 - t1)
-                            - (mus[i] - mus[i - 1]) / (t1 - t0)) / (t2 - t0)
-                dds.append((t1, dd))
+            dds = second_divided_differences(
+                thetas, [spectral_envelope(ops, th) for th in thetas])
             note = "convexity measured on the spectral envelope (degenerate top pair)"
         evidence["second_divided_differences"] = dds
         ok = all(dd > 0.0 for _, dd in dds)
@@ -339,6 +374,5 @@ def quick_condition_check(spec: ModelSpec, theta: float, *,
                           frame: EvaluationFrame | None = None) -> ConditionReport:
     """Light pre-flight check used by the CLI before expansion commands."""
     theta = max(float(theta), 0.05)
-    grid = [0.0, 0.5 * theta, theta] if theta > 0 else [0.0]
-    return run_condition_suite(spec, grid, [1.0, 5.0, 20.0], [1.0, 2.0],
-                               n=n, frame=frame, label=f"quick@{theta:g}")
+    return run_condition_suite(spec, [0.0, 0.5 * theta, theta], [1.0, 5.0, 20.0],
+                               [1.0, 2.0], n=n, frame=frame, label=f"quick@{theta:g}")

@@ -4,10 +4,11 @@ from hypothesis import given, strategies as st
 
 import ldp_expand as lx
 from ldp_expand import fields
-from ldp_expand.discretize import operators_for
+from ldp_expand.discretize import DiffusionOperators, operators_for
 from ldp_expand.errors import (GridResolutionError, ModelValidationError,
                                SemigroupOverflowError)
 from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
+from ldp_expand.spectral import spectral_mu_prime
 
 
 def test_laplacian_stencil_n8(gaussian):
@@ -227,3 +228,16 @@ def test_cyclic_solver_at_an_eigenvalue_returns_its_vector(mathieu):
             assert np.all(np.isfinite(x))
             x = x / x[int(np.argmax(np.abs(x)))]
             assert np.max(np.abs(x - ref / np.max(ref))) < 1e-6
+
+
+def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
+    # a seed 1e-10 away in theta is within the iteration's residual target,
+    # but its vectors carry a 1e-11 error; one step removes it
+    ops = DiffusionOperators(mathieu, 256)
+    ops.perron(0.3)
+    _, g, psi = ops.perron(0.3 + 1e-10)
+    dense = DiffusionOperators(mathieu, 256)
+    ref = dense.eigendata(0.3 + 1e-10)
+    assert np.max(np.abs(g - ref.g)) < 1e-12
+    assert np.max(np.abs(psi - ref.psi)) < 1e-12 * np.max(ref.psi)
+    assert abs(spectral_mu_prime(ops, 0.3 + 1e-10) - spectral_mu_prime(dense, 0.3 + 1e-10)) < 5e-13

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -98,3 +101,29 @@ def test_bracket_expansion(gaussian):
     # admissible beyond the default theta_max through expand-by-doubling
     rp = lx.rate_point(gaussian, 10.0, n=64, theta_max=8.0)
     assert abs(rp.theta - 10.0) < 1e-9
+
+
+@pytest.mark.parametrize("model, n, a_grid", [
+    ("mathieu", 256, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
+    ("gaussian", 64, (0.05, 0.5, 1.0, 2.0, 10.0)),
+])
+def test_solve_theta_matches_brentq(request, model, n, a_grid):
+    from scipy.optimize import brentq
+
+    spec = request.getfixturevalue(model)
+    ops = operators_for(spec, n)
+    for a in a_grid:
+        theta = lx.solve_theta(spec, a, n=n)
+        hi = 8.0 if a < 8.0 else 16.0
+        ref = brentq(lambda th: spectral_mu_prime(ops, th) - a, 0.0, hi, xtol=1e-15)
+        assert abs(theta - ref) <= 1e-12 * ref
+    with pytest.raises(AdmissibleRangeError):
+        lx.solve_theta(spec, -0.1, n=n)
+
+
+def test_cli_import_skips_optimize_and_special():
+    code = ("import sys, ldp_expand.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

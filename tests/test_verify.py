@@ -4,6 +4,8 @@ from scipy.special import comb
 from scipy.stats import norm
 
 import ldp_expand as lx
+from ldp_expand import verify
+from ldp_expand.discretize import DiffusionOperators, operators_for
 from ldp_expand.errors import ModelValidationError
 from ldp_expand.model import DiscreteChainSpec
 
@@ -146,3 +148,79 @@ def test_noisy_chain_prefactor_agreement(frame):
         fit = lx.extract_coefficients(noisy, frame, 0.2, [50, 71, 100, 141, 200, 283, 400],
                                       order=4)
     assert abs(fit.d0 - d0) / d0 < 0.01
+
+
+# ---------------------------------------------------------------------------
+# B1 disc values by continuation.
+
+def _dense_disc(ops, th):
+    return np.array([complex(ops.eigendata(z).value) for z in verify._disc_points(th, 0.05)])
+
+
+@pytest.mark.parametrize("model, n, thetas", [
+    ("mathieu", 128, (0.0, 1.0)),
+    ("mathieu", 256, (1.0,)),
+    ("gaussian", 64, (0.0, 1.0)),
+    ("gradient_drift", 128, (1.0,)),  # non-self-adjoint generator
+])
+def test_b1_continued_disc_matches_dense(request, model, n, thetas):
+    ops = operators_for(request.getfixturevalue(model), n)
+    for th in thetas:
+        vals, dense = verify._disc_values(ops, verify._disc_points(th, 0.05))
+        assert dense == 0
+        assert vals.shape == (17,)
+        assert np.max(np.abs(vals - _dense_disc(ops, th))) < 1e-10
+
+
+def test_b1_forced_fallback_reproduces_dense(mathieu, monkeypatch):
+    thetas = [0.0, 0.5, 1.0]
+    continued = verify._check_b1_surrogate(DiffusionOperators(mathieu, 64), thetas)
+    assert continued.evidence["dense_fallbacks"] == 0
+    monkeypatch.setattr(verify, "rqi_pair", lambda *args, **kwargs: None)
+    ops = DiffusionOperators(mathieu, 64)
+    fallback = verify._check_b1_surrogate(ops, thetas)
+    assert fallback.evidence["dense_fallbacks"] == 16 * len(thetas)
+    # the all-dense surrogate, computed independently
+    worst = 0.0
+    for th in thetas:
+        dz = np.array(verify._disc_points(th, 0.05)) - th
+        vals = _dense_disc(ops, th)
+        design = np.column_stack([dz**p for p in range(5)])
+        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
+        worst = max(worst, float(np.max(np.abs(design @ coef - vals))))
+    assert fallback.evidence["residual"] == worst
+    assert fallback.passed and continued.passed
+    assert abs(continued.evidence["residual"] - worst) < 1e-11
+
+
+def test_b1_adds_no_complex_eigensolve_on_a_diffusion(mathieu, monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    real_eig = scipy.linalg.eig
+
+    def counting_eig(a, *args, **kwargs):
+        calls.append(np.iscomplexobj(a))
+        return real_eig(a, *args, **kwargs)
+
+    ops = DiffusionOperators(mathieu, 64)
+    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+    verdict = verify._check_b1_surrogate(ops, [0.0, 0.5, 1.0])
+    assert verdict.passed
+    # one dense solve per real centre, none at a complex tilt
+    assert calls == [False, False, False]
+
+
+def test_b1_rejects_a_pair_off_the_top_branch(mathieu, monkeypatch):
+    ops = DiffusionOperators(mathieu, 64)
+    gap = ops.eigendata(0.5).gap
+    real_rqi = verify.rqi_pair
+
+    def wrong_branch(*args, **kwargs):
+        value, g, psi = real_rqi(*args, **kwargs)
+        return value - 0.6 * gap, g, psi
+
+    monkeypatch.setattr(verify, "rqi_pair", wrong_branch)
+    vals, dense = verify._disc_values(ops, verify._disc_points(0.5, 0.05))
+    assert dense == 16
+    assert np.max(np.abs(vals - _dense_disc(ops, 0.5))) == 0.0
