@@ -6,6 +6,8 @@ quotient so that cumulant curves are smooth to near machine precision.
 ``rqi_pair`` is the one two-sided Rayleigh-quotient iteration; it runs on
 any operator with products from both sides and shifted solves (the banded
 tilted generators), and the dense polish reuses its step with an LU solver.
+``krylov_expm_entry`` evaluates one entry of the full transform
+exp(t (M - shift)) v on the same operators.
 """
 from __future__ import annotations
 
@@ -218,3 +220,56 @@ def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float, max_iter: int 
     if pairing == 0 or not np.isfinite(pairing):
         return None
     return value.item(), g, psi / pairing
+
+
+# Largest shift-and-invert Krylov space before ``krylov_expm_entry`` gives up.
+KRYLOV_MAX_DIM = 40
+
+
+def krylov_expm_entry(op, shift: float, t: float, i0: int, v: np.ndarray,
+                      rtol: float, peak: float = 0.0):
+    """e_{i0}^T exp(t (M - shift)) v by shift-and-invert Arnoldi on
+    (I - gamma (M - shift))^{-1}, gamma = t / 10 (van den Eshof & Hochbruck,
+    SIAM J. Sci. Comput. 27, 2006).
+
+    ``op`` is the operator protocol of ``rqi_pair``; one ``shifted_solver``
+    factor serves every Krylov step.  On an m-dimensional space with
+    Hessenberg matrix H the projection of M - shift is (I - H^{-1}) / gamma,
+    whose small matrix exponential gives the m-th value.  Stops when two
+    successive values differ by at most rtol * max(peak, |value|), or at once
+    when the space is invariant; returns None when KRYLOV_MAX_DIM steps do
+    not get there or a solve breaks down."""
+    gamma = t / 10.0
+    # (I - gamma (M - shift))^{-1} = -(1 / gamma) (M - (shift + 1 / gamma))^{-1}
+    try:
+        solve = op.shifted_solver(shift + 1.0 / gamma)
+    except sla.LinAlgError:
+        return None
+    dtype = np.result_type(op.dtype, v)
+    V = np.zeros((v.size, KRYLOV_MAX_DIM + 1), dtype=dtype)
+    H = np.zeros((KRYLOV_MAX_DIM + 1, KRYLOV_MAX_DIM), dtype=dtype)
+    beta = np.linalg.norm(v)
+    V[:, 0] = v / beta
+    prev = None
+    for j in range(KRYLOV_MAX_DIM):
+        w = solve(V[:, j]) * (-1.0 / gamma)
+        for _ in range(2):  # Gram-Schmidt twice keeps V orthonormal to rounding
+            h = V[:, :j + 1].conj().T @ w
+            w = w - V[:, :j + 1] @ h
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        m = j + 1
+        try:
+            A = (np.eye(m) - np.linalg.inv(H[:m, :m])) / gamma
+        except np.linalg.LinAlgError:
+            return None
+        value = beta * (V[i0, :m] @ sla.expm(t * A)[:, 0])
+        if not np.isfinite(value):
+            return None
+        if abs(H[j + 1, j]) <= 1e-14 * np.linalg.norm(H[:m + 1, j]):
+            return value.item()  # invariant subspace: the value is exact
+        if prev is not None and abs(value - prev) <= rtol * max(peak, abs(value)):
+            return value.item()
+        prev = value
+        V[:, j + 1] = w / H[j + 1, j]
+    return None

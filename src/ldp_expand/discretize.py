@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._eigen import EigenData, quiet_singular, rqi_pair, top_eigen_data
+from ._eigen import (EigenData, krylov_expm_entry, quiet_singular, rqi_pair,
+                     top_eigen_data)
 from .errors import (GridResolutionError, ModelValidationError,
                      SemigroupOverflowError)
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
@@ -34,37 +35,22 @@ OVERFLOW_CAP = 700.0
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform periodic grid with n points per dimension and spacing 1/n."""
+    """Uniform periodic grid on the unit circle: n points, spacing 1/n."""
 
     n: int
-    dim: int = 1
 
     def __post_init__(self):
         if self.n < 8:
             raise GridResolutionError(f"grid needs n >= 8, got {self.n}")
         if self.n % 2:
             raise GridResolutionError(f"grid needs even n for symmetric stencils, got {self.n}")
-        if self.dim not in (1, 2):
-            raise GridResolutionError(f"dim must be 1 or 2, got {self.dim}")
 
     @property
     def dx(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def size(self) -> int:
-        return self.n ** self.dim
-
     def points(self) -> np.ndarray:
         return np.arange(self.n) / self.n
-
-    def flat_index(self, i: int, j: int | None = None) -> int:
-        """Row-major flattened index (dim=2) or the index itself (dim=1)."""
-        if self.dim == 1:
-            return int(i) % self.n
-        if j is None:
-            raise ValueError("dim=2 grid needs two indices")
-        return (int(i) % self.n) * self.n + (int(j) % self.n)
 
 
 @dataclass(frozen=True)
@@ -132,6 +118,17 @@ class CyclicTridiagonal:
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """v M (the left product, without conjugation)."""
         return self.diag * v + _prev(self.up * v) + _next(self.lo * v)
+
+    @classmethod
+    def from_dense(cls, M: np.ndarray) -> "CyclicTridiagonal":
+        """The three periodic diagonals of a dense matrix that has no other
+        nonzero entry."""
+        n = M.shape[0]
+        idx = np.arange(n)
+        op = cls(lo=M[idx, (idx - 1) % n], diag=M[idx, idx], up=M[idx, (idx + 1) % n])
+        if not np.array_equal(op.dense(), M):
+            raise ModelValidationError("matrix is not cyclic tridiagonal")
+        return op
 
     def dense(self) -> np.ndarray:
         n = self.n
@@ -232,8 +229,6 @@ def build_tilted_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid, z: comp
 
 
 def _check_torus(spec: TorusDiffusionSpec, grid: PeriodicGrid):
-    if spec.dim != 1:
-        raise NotImplementedError("operations support dim=1 models only (dim=2 is spec-level)")
     report = validate_spec(spec, n=grid.n)
     report.raise_for_errors()
     kmax = spec.max_harmonic()
@@ -265,29 +260,73 @@ def _gershgorin_top(M: np.ndarray) -> float:
     return float(np.max(diag + offsum))
 
 
-def invariant_density(A: GeneratorMatrix | DiscreteChainSpec) -> InvariantDensity:
-    """Stationary density: null vector of A^T (generators) or the left Perron
-    vector of the transition matrix (chains)."""
+def invariant_density(A: CyclicTridiagonal | GeneratorMatrix | DiscreteChainSpec) -> InvariantDensity:
+    """Stationary density: null vector of A^T for a base (untilted) torus
+    generator, given as its stencil or as a ``GeneratorMatrix``, or the left
+    Perron vector of the transition matrix of a chain."""
     if isinstance(A, DiscreteChainSpec):
         P = A.transition_matrix()
         rho = _null_density(P.T - np.eye(A.n_states), scale=1.0)
         residual = float(np.max(np.abs(P.T @ rho - rho)))
         rho = rho / rho.sum()
         return InvariantDensity(rho=rho, residual=residual, weight=1.0)
-    if not isinstance(A, GeneratorMatrix) or A.tag != "base":
+    if isinstance(A, GeneratorMatrix) and A.tag == "base":
+        A = CyclicTridiagonal.from_dense(A.matrix)
+    if not isinstance(A, CyclicTridiagonal):
         raise ModelValidationError("invariant density needs the base (untilted) generator")
-    M = A.matrix
-    rho = _null_density(M.T, scale=float(np.max(np.abs(M))))
-    weight = A.grid.dx
+    rho = _stencil_null_density(A)
+    weight = 1.0 / A.n
     rho = rho / (rho.sum() * weight)
-    residual = float(np.max(np.abs(M.T @ rho)))
+    residual = float(np.max(np.abs(A.rmatvec(rho))))
     return InvariantDensity(rho=rho, residual=residual, weight=weight)
 
 
+def _null_tolerance(scale: float) -> float:
+    """Eigenvalue modulus below which a second null direction is declared."""
+    return max(1e-8 * max(scale, 1.0), 1e-12)
+
+
+def _stencil_null_density(op: CyclicTridiagonal) -> np.ndarray:
+    """Null vector of op^T in O(n): inverse iteration at shift 0 from the
+    uniform vector, where the solver's zero-denominator guard turns the exact
+    singularity into a large multiple of the null vector.
+
+    Pinning the largest entry of that vector (adding op.scale to its
+    diagonal entry) leaves op^T invertible exactly when the null space is
+    one-dimensional; the growth of inverse iteration on the pinned operator
+    estimates its smallest eigenvalue modulus, which follows the second
+    eigenvalue of op when the null space is numerically two-dimensional."""
+    n = op.n
+    try:
+        with quiet_singular():
+            solve = op.shifted_solver(0.0)
+            vec = np.ones(n)
+            for _ in range(2):
+                vec = solve(vec, trans=True)
+                vec = vec / np.max(np.abs(vec))
+            pin = np.zeros(n)
+            pin[int(np.argmax(np.abs(vec)))] = op.scale
+            pinned = op.shifted_diagonal(pin).shifted_solver(0.0)
+            x = np.ones(n)
+            for _ in range(2):
+                y = pinned(x, trans=True)
+                smallest = np.max(np.abs(x)) / np.max(np.abs(y))
+                x = y / np.max(np.abs(y))
+    except sla.LinAlgError:
+        smallest = 0.0  # an exactly singular factor
+    if not smallest >= _null_tolerance(op.scale):
+        raise ModelValidationError(
+            f"null space dimension != 1 (pinned smallest eigenvalue {smallest:.3e}); "
+            "model is not irreducible at this discretization")
+    return _nonnegative(vec)
+
+
 def _null_density(MT: np.ndarray, scale: float) -> np.ndarray:
+    """Null vector of a dense matrix (chains, whose transition matrices are
+    small and not tridiagonal)."""
     w, vr = sla.eig(MT)
     order = np.argsort(np.abs(w))
-    tol = max(1e-8 * max(scale, 1.0), 1e-12)
+    tol = _null_tolerance(scale)
     if len(w) > 1 and abs(w[order[1]]) < tol:
         raise ModelValidationError(
             f"null space dimension != 1 (|second eigenvalue| = {abs(w[order[1]]):.3e}); "
@@ -303,6 +342,12 @@ def _null_density(MT: np.ndarray, scale: float) -> np.ndarray:
             vec = cand
     except (sla.LinAlgError, ValueError):
         pass
+    return _nonnegative(vec)
+
+
+def _nonnegative(vec: np.ndarray) -> np.ndarray:
+    """A null vector scaled to largest entry 1 and positive sum, checked to
+    be a density."""
     vec = vec / np.max(np.abs(vec))
     if vec.sum() < 0:
         vec = -vec
@@ -363,6 +408,8 @@ class DiffusionOperators:
         # top-pair continuation along saddle lines: theta -> {s: (value, g, psi)}
         self._top_lines: dict[float, dict[float, tuple]] = {}
         self._top_cert: dict = {}
+        # certifications whose full transform fell back to the dense nmgf
+        self.certify_fallbacks = 0
 
     # -- operators ---------------------------------------------------------
     def operator(self, z: complex) -> CyclicTridiagonal:
@@ -385,7 +432,7 @@ class DiffusionOperators:
     @property
     def rho(self) -> InvariantDensity:
         if self._rho is None:
-            self._rho = invariant_density(self.generator(0.0))
+            self._rho = invariant_density(self.stencil)
         return self._rho
 
     def integral(self, values: np.ndarray) -> float:
@@ -519,8 +566,12 @@ class DiffusionOperators:
 
     def certify_top_mode(self, theta: float, t: float, frame: EvaluationFrame,
                          tol: float, s_probes) -> bool:
-        """Compare the single-mode transform against the full decomposition at
-        probe tilts; certification at horizon t extends to all larger t."""
+        """Compare the single-mode transform against the full transform at
+        probe tilts, within tol times the transform at s = 0; certification at
+        horizon t extends to all larger t.  The full transform comes from
+        ``krylov_expm_entry`` on the banded G(z), or from the dense ``nmgf``
+        when the Krylov space does not settle (counted in
+        ``certify_fallbacks``)."""
         key = (float(theta), frame.cache_key())
         cached = self._top_cert.get(key)
         if cached is not None:
@@ -530,16 +581,25 @@ class DiffusionOperators:
             if not verdict and t <= ok_t:
                 return False
         mu_ref = self.mu(theta)
-        peak = abs(self.nmgf(complex(theta, 0.0), (t,), frame, mu_ref)[0])
+        i0 = frame.index_on(self.grid.n)
+        v = frame.vector_on(self.grid.n)
+
+        def full_at(s: float, peak: float) -> complex:
+            z = complex(theta, s) if s else theta
+            value = krylov_expm_entry(self.operator(z), mu_ref, t, i0, v, 1e-3 * tol, peak)
+            if value is None:
+                self.certify_fallbacks += 1
+                value = self.nmgf(complex(theta, s), (t,), frame, mu_ref)[0]
+            return value
+
+        at_zero = full_at(0.0, 0.0)
+        peak = abs(at_zero)
         if peak == 0.0:
             return False
         for s in s_probes:
-            top = self.nmgf_top(complex(theta, float(s)), (t,), frame, mu_ref)
-            if top is None:
-                self._top_cert[key] = (t, False)
-                return False
-            full = self.nmgf(complex(theta, float(s)), (t,), frame, mu_ref)
-            if abs(top[0] - full[0]) > tol * peak:
+            s = float(s)
+            top = self.nmgf_top(complex(theta, s), (t,), frame, mu_ref)
+            if top is None or abs(top[0] - (full_at(s, peak) if s else at_zero)) > tol * peak:
                 self._top_cert[key] = (t, False)
                 return False
         self._top_cert[key] = (t, True)

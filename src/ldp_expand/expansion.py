@@ -406,7 +406,9 @@ def extract_coefficients(spec: ModelSpec, frame: EvaluationFrame, a: float,
         if rel > 0.01:
             raise FitError(
                 f"fitted D_0={fit.d0:.9g} disagrees with analytic {d0_analytic:.9g} "
-                f"by {100 * rel:.2f}% (> 1%)")
+                f"by {100 * rel:.2f}% (> 1%) on t in [{t_arr[0]:g}, {t_arr[-1]:g}]; the "
+                "correction terms may not have decayed yet: try longer horizons "
+                "(--t-min/--t-max, or t_grid in the config)")
     return fit
 
 

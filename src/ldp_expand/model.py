@@ -154,11 +154,8 @@ def validate_spec(spec: ModelSpec, n: int = DEFAULT_VALIDATION_N) -> ValidationR
 
 def _validate_torus(spec: TorusDiffusionSpec, n: int) -> ValidationReport:
     bad: list[str] = []
-    notes: list[str] = []
-    if spec.dim not in (1, 2):
-        bad.append(f"dim must be 1 or 2, got {spec.dim}")
-    if spec.dim == 2:
-        notes.append("dim=2 is supported at spec level only; operations require dim=1")
+    if spec.dim != 1:
+        bad.append(f"dim must be 1, got {spec.dim}")
     if not spec.fields_v:
         bad.append("at least one diffusion field V_i is required")
 
@@ -179,7 +176,7 @@ def _validate_torus(spec: TorusDiffusionSpec, n: int) -> ValidationReport:
         msg = _seam_check(f, name, n)
         if msg:
             bad.append(msg)
-    return ValidationReport(tuple(bad), tuple(notes))
+    return ValidationReport(tuple(bad))
 
 
 def _seam_check(f: Field, name: str, n: int) -> str | None:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 import ldp_expand as lx
 from ldp_expand import fields
-from ldp_expand.discretize import DiffusionOperators, operators_for
+from ldp_expand.discretize import CyclicTridiagonal, DiffusionOperators, operators_for
 from ldp_expand.errors import (GridResolutionError, ModelValidationError,
                                SemigroupOverflowError)
 from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
@@ -53,6 +53,29 @@ def test_invariant_density_rejects_reducible_chain():
         lx.invariant_density(chain)
 
 
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("model", ["mathieu", "gaussian", "gradient_drift"])
+def test_banded_density_matches_dense_null_vector(request, model, n):
+    from ldp_expand.discretize import _null_density
+    op = DiffusionOperators(request.getfixturevalue(model), n).stencil
+    dens = lx.invariant_density(op)
+    ref = _null_density(op.dense().T, scale=op.scale)
+    ref = ref / (ref.sum() / n)
+    assert np.max(np.abs(dens.rho - ref)) < 1e-12
+    assert dens.residual == np.max(np.abs(op.rmatvec(dens.rho)))
+
+
+def test_banded_density_rejects_two_dimensional_null_space():
+    # two rings of 8 states joined by two edges of rate 1e-14 * scale
+    n = 16
+    up, lo = np.ones(n), np.ones(n)
+    up[7] = lo[8] = up[15] = lo[0] = 1e-14 * 2.0
+    op = CyclicTridiagonal(lo=lo, diag=-(lo + up), up=up)
+    assert op.scale == 2.0
+    with pytest.raises(ModelValidationError, match="null space"):
+        lx.invariant_density(op)
+
+
 def test_tilt_zero_is_base(gaussian):
     grid = lx.PeriodicGrid(32)
     base = lx.build_generator(gaussian, grid)
@@ -93,8 +116,6 @@ def test_grid_invariants():
         lx.PeriodicGrid(6)
     with pytest.raises(GridResolutionError):
         lx.PeriodicGrid(9)
-    g = lx.PeriodicGrid(16, dim=2)
-    assert g.size == 256 and g.flat_index(1, 2) == 18
 
 
 def test_semigroup_identity():
@@ -241,3 +262,18 @@ def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
     assert np.max(np.abs(g - ref.g)) < 1e-12
     assert np.max(np.abs(psi - ref.psi)) < 1e-12 * np.max(ref.psi)
     assert abs(spectral_mu_prime(ops, 0.3 + 1e-10) - spectral_mu_prime(dense, 0.3 + 1e-10)) < 5e-13
+
+
+@pytest.mark.parametrize("model, n", [("mathieu", 256), ("gaussian", 64), ("gradient_drift", 128)])
+def test_krylov_transform_matches_dense_nmgf(request, frame, model, n):
+    from ldp_expand._eigen import krylov_expm_entry
+    ops = DiffusionOperators(request.getfixturevalue(model), n)
+    theta = 0.3
+    mu = ops.mu(theta)
+    i0, v = frame.index_on(n), frame.vector_on(n)
+    for t in (0.2, 0.5, 1.0, 2.0, 30.0):
+        peak = abs(ops.nmgf(theta, (t,), frame, mu)[0])
+        for s in (0.0, 1.0, 3.0):
+            z = complex(theta, s)
+            value = krylov_expm_entry(ops.operator(z), mu, t, i0, v, 2e-11, peak)
+            assert abs(value - ops.nmgf(z, (t,), frame, mu)[0]) < 1e-8 * peak, (t, s)

@@ -253,3 +253,59 @@ def test_tail_curve_validates_probabilities():
 def test_leading_requires_positive_tilt(gaussian, frame):
     with pytest.raises((AdmissibleRangeError, Exception)):
         lx.leading_coefficient(gaussian, frame, -0.5, n=64)
+
+
+# -- single-mode certification -----------------------------------------------
+
+def _certify(ops, rp, t, frame):
+    """certify_top_mode with the tolerance and probe tilts exact_tail uses at
+    rel_tol 1e-6."""
+    width = 1.0 / np.sqrt(t / rp.curvature)
+    return ops.certify_top_mode(rp.theta, t, frame, 0.02 * 1e-6, (0.0, 4.0 * width, 8.0 * width))
+
+
+CERT_VERDICTS = {0.2: False, 0.5: False, 1.0: True, 30.0: True}
+
+
+def test_certify_top_mode_verdicts(mathieu, frame):
+    from ldp_expand.discretize import DiffusionOperators
+    rp = lx.rate_point(mathieu, 0.3, n=256)
+    for t, verdict in CERT_VERDICTS.items():
+        ops = DiffusionOperators(mathieu, 256)
+        assert _certify(ops, rp, t, frame) is verdict, t
+        assert ops.certify_fallbacks == 0
+
+
+def test_certify_top_mode_falls_back_to_dense_nmgf(mathieu, frame, monkeypatch):
+    from ldp_expand import discretize
+    rp = lx.rate_point(mathieu, 0.3, n=256)
+    lx.clear_caches()
+    p_banded = lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256)
+    monkeypatch.setattr(discretize, "krylov_expm_entry", lambda *args, **kwargs: None)
+    for t, verdict in CERT_VERDICTS.items():
+        ops = discretize.DiffusionOperators(mathieu, 256)
+        assert _certify(ops, rp, t, frame) is verdict, t
+        assert ops.certify_fallbacks >= 1
+        assert len(ops._mgf_cache) == ops.certify_fallbacks
+    lx.clear_caches()
+    assert lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256) == p_banded
+    assert discretize.operators_for(mathieu, 256).certify_fallbacks == 3
+
+
+def test_cold_mathieu_tail_takes_no_dense_eigensolve(mathieu, frame, monkeypatch):
+    import scipy.linalg
+    calls = []
+    for name in ("eig", "eigvals"):
+        real = getattr(scipy.linalg, name)
+        monkeypatch.setattr(scipy.linalg, name,
+                            lambda *args, real=real, **kwargs: calls.append(1) or real(*args, **kwargs))
+    lx.clear_caches()
+    lx.rate_point(mathieu, 0.3, n=256)
+    lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256, rel_tol=1e-6)
+    assert calls == []
+
+
+def test_short_horizons_fail_with_a_hint(mathieu, frame):
+    from ldp_expand.cli import DEFAULTS
+    with pytest.raises(FitError, match=r"t in \[16, 128\].*longer horizons.*--t-min/--t-max"):
+        lx.extract_coefficients(mathieu, frame, 0.3, DEFAULTS["t_grid"], order=4, n=256)

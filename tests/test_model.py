@@ -111,11 +111,11 @@ def test_frame_index_resolution():
         EvaluationFrame(x0=0, v=(0.0,) * 8).vector_on(8)
 
 
-def test_dim2_is_type_level_only():
+def test_dim2_is_rejected():
     spec = TorusDiffusionSpec(fields_v=(fields.constant(1.0),), drift_v0=fields.zero(),
                               obs_drift_b=fields.zero(), obs_noise_sigma=fields.constant(1.0),
                               dim=2)
     report = lx.validate_spec(spec)
-    assert report.ok and any("dim=2" in w for w in report.warnings)
-    with pytest.raises(NotImplementedError):
+    assert not report.ok and any("dim must be 1" in v for v in report.violations)
+    with pytest.raises(ModelValidationError, match="dim must be 1"):
         lx.build_generator(spec, lx.PeriodicGrid(16))
