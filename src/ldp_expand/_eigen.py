@@ -102,10 +102,19 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
 
 
 class _DenseSolver:
-    """A dense matrix with the product and shifted solve of ``_rqi_step``."""
+    """A dense matrix with the product and shifted solve of ``_rqi_step``,
+    and the diagonal shift and scale of a pinned solve."""
 
     def __init__(self, M: np.ndarray):
         self.M = M
+
+    @property
+    def scale(self) -> float:
+        """Largest entry modulus."""
+        return float(np.max(np.abs(self.M)))
+
+    def shifted_diagonal(self, shift) -> "_DenseSolver":
+        return _DenseSolver(self.M + np.diag(shift))
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.M @ u

@@ -131,10 +131,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
     _check_keys(cfg["simulate"], _SIM_KEYS, "simulate")
     _check_keys(cfg["conditions"], _COND_KEYS, "conditions")
     _check_keys(cfg["expand"], _EXPAND_KEYS, "expand")
-    tol = float(cfg["tol"])
+    tol = _number(cfg["tol"], "tol")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    theta_max = float(cfg["theta_max"])
+    theta_max = _number(cfg["theta_max"], "theta_max")
     if theta_max <= 0:
         raise ConfigError("theta_max must be positive")
     report = validate_spec(spec, n=min(grid_n, 512))
@@ -142,7 +142,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("model fails validation: " + "; ".join(report.violations))
     return RunConfig(
         spec=spec, frame=frame, grid_n=grid_n, theta_max=theta_max, tol=tol,
-        order=_positive_int(cfg["order"], "order"), seed=int(cfg["seed"]),
+        order=_positive_int(cfg["order"], "order"), seed=_integer(cfg["seed"], "seed"),
         output_dir=Path(cfg["output_dir"]),
         theta_grid=_grid(cfg["theta_grid"], "theta_grid"),
         a_grid=_grid(cfg["a_grid"], "a_grid"),
@@ -151,14 +151,31 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raw=cfg)
 
 
-def _positive_int(value, key: str) -> int:
+def _integer(value, key: str) -> int:
     try:
-        i = int(value)
+        return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _positive_int(value, key: str) -> int:
+    i = _integer(value, key)
     if i <= 0:
         raise ConfigError(f"{key} must be positive, got {i}")
     return i
+
+
+def _number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _numbers(values, key: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, key) for v in values)
 
 
 def _grid(obj, key: str) -> tuple[float, ...]:
@@ -168,7 +185,7 @@ def _grid(obj, key: str) -> tuple[float, ...]:
             raise ConfigError(f"{key}: unknown grid key(s) {', '.join(sorted(extra))}")
         if "min" not in obj or "max" not in obj:
             raise ConfigError(f"{key}: grid objects need min and max")
-        lo, hi = float(obj["min"]), float(obj["max"])
+        lo, hi = _number(obj["min"], f"{key}.min"), _number(obj["max"], f"{key}.max")
         steps = _positive_int(obj.get("steps", 9), f"{key}.steps")
         if obj.get("scale", "linear") == "geometric":
             if lo <= 0:
@@ -176,7 +193,7 @@ def _grid(obj, key: str) -> tuple[float, ...]:
             return tuple(np.geomspace(lo, hi, steps))
         return tuple(np.linspace(lo, hi, steps))
     if isinstance(obj, (list, tuple)):
-        return tuple(float(v) for v in obj)
+        return _numbers(obj, key)
     raise ConfigError(f"{key} must be a list or a min/max/steps object")
 
 
@@ -193,7 +210,10 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
         path = Path(obj)
         if not path.exists():
             raise ConfigError(f"model file {path} does not exist")
-        obj = json.loads(path.read_text())
+        try:
+            obj = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("model must be an object or a path to one")
     if "builtin" in obj:
@@ -205,8 +225,7 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
             raise ConfigError(f"unknown builtin model {name!r}; "
                               f"choose from {', '.join(sorted(_BUILTIN_MODELS))}")
         spec = _BUILTIN_MODELS[name]()
-        frame = _parse_frame(obj.get("eval_frame"))
-        return spec, frame, obj.get("grid_n")
+        return spec, _parse_frame(obj.get("eval_frame")), _model_grid_n(obj)
     kind = obj.get("kind")
     if kind == "torus_diffusion":
         _check_keys(obj, _MODEL_KEYS_TORUS, "model")
@@ -222,18 +241,25 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
             drift_v0=field_from_config(fields.get("V0", 0.0)),
             obs_drift_b=field_from_config(observable.get("b", 0.0)),
             obs_noise_sigma=field_from_config(observable.get("sigma", 1.0)))
-        return spec, _parse_frame(obj.get("eval_frame")), obj.get("grid_n")
+        return spec, _parse_frame(obj.get("eval_frame")), _model_grid_n(obj)
     if kind == "discrete_chain":
         _check_keys(obj, _MODEL_KEYS_CHAIN, "model")
         for need in ("transition", "increment_mean", "increment_var"):
             if need not in obj:
                 raise ConfigError(f"model.{need} is required for discrete chains")
+        if not isinstance(obj["transition"], list):
+            raise ConfigError("model.transition must be a list of rows")
         spec = DiscreteChainSpec(
-            transition=tuple(tuple(float(p) for p in row) for row in obj["transition"]),
-            increment_mean=tuple(float(v) for v in obj["increment_mean"]),
-            increment_var=tuple(float(v) for v in obj["increment_var"]))
+            transition=tuple(_numbers(row, "model.transition") for row in obj["transition"]),
+            increment_mean=_numbers(obj["increment_mean"], "model.increment_mean"),
+            increment_var=_numbers(obj["increment_var"], "model.increment_var"))
         return spec, _parse_frame(obj.get("eval_frame")), None
     raise ConfigError(f"model.kind must be 'torus_diffusion' or 'discrete_chain', got {kind!r}")
+
+
+def _model_grid_n(obj: dict) -> int | None:
+    grid_n = obj.get("grid_n")
+    return None if grid_n is None else _positive_int(grid_n, "model.grid_n")
 
 
 def _parse_frame(obj) -> EvaluationFrame:
@@ -243,7 +269,7 @@ def _parse_frame(obj) -> EvaluationFrame:
     x0 = obj.get("x0", 0)
     v = obj.get("v")
     if v is not None:
-        v = tuple(float(x) for x in v)
+        v = _numbers(v, "eval_frame.v")
     return EvaluationFrame(x0=x0, v=v)
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._eigen import (EigenData, krylov_expm_entry, quiet_singular, rqi_pair,
-                     top_eigen_data)
+from ._eigen import (EigenData, _DenseSolver, krylov_expm_entry, quiet_singular,
+                     rqi_pair, top_eigen_data)
 from .errors import (GridResolutionError, ModelValidationError,
                      SemigroupOverflowError)
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
@@ -429,14 +429,17 @@ class DiffusionOperators:
     def tilt_diagonal(self, z: complex) -> np.ndarray:
         return z * self.b + 0.5 * z * z * self.sigma2
 
+    def _tilt_terms(self, theta: float):
+        """G(theta) with the actions of G' = diag(b + theta sigma^2) and
+        G'' = diag(sigma^2)."""
+        drift = self.b + theta * self.sigma2
+        return self.operator(theta), (lambda u: drift * u), (lambda u: self.sigma2 * u)
+
     @property
     def rho(self) -> InvariantDensity:
         if self._rho is None:
             self._rho = invariant_density(self.stencil)
         return self._rho
-
-    def integral(self, values: np.ndarray) -> float:
-        return float(np.sum(values) * self.weight)
 
     # -- spectra -----------------------------------------------------------
     def eigendata(self, z: complex) -> EigenData:
@@ -445,9 +448,8 @@ class DiffusionOperators:
         if z.imag == 0.0:
             z = z.real
         if z not in self._eigen:
-            real = isinstance(z, float) or z.imag == 0.0
             self._eigen[z] = top_eigen_data(self.tilted(z), weight=self.weight,
-                                            sort="real", positive=real)
+                                            sort="real", positive=isinstance(z, float))
         return self._eigen[z]
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -631,23 +633,27 @@ class ChainOperators:
         wcol = np.exp(z * self.m + 0.5 * z * z * self.var)
         return self.P * wcol[None, :]
 
+    def _tilt_terms(self, theta: float):
+        """T(theta) as a dense operator with the actions of
+        T' = T diag(m + theta var) and T'' = T diag((m + theta var)^2 + var)."""
+        T = self.tilted(theta)
+        drift = self.m + theta * self.var
+        curv = drift**2 + self.var
+        return _DenseSolver(T), (lambda u: T @ (drift * u)), (lambda u: T @ (curv * u))
+
     @property
     def rho(self) -> InvariantDensity:
         if self._rho is None:
             self._rho = invariant_density(self.spec)
         return self._rho
 
-    def integral(self, values: np.ndarray) -> float:
-        return float(np.sum(values))
-
     def eigendata(self, z: complex) -> EigenData:
         z = complex(z)
         if z.imag == 0.0:
             z = z.real
         if z not in self._eigen:
-            real = isinstance(z, float) or z.imag == 0.0
             self._eigen[z] = top_eigen_data(self.tilted(z), weight=1.0,
-                                            sort="abs", positive=real)
+                                            sort="abs", positive=isinstance(z, float))
         return self._eigen[z]
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Legendre-transform machinery: tail levels a -> tilts theta_a, rate values
-I(a) = a theta_a - mu(theta_a), and curvatures I''(a) = 1 / mu''(theta_a)."""
+I(a) = a theta_a - mu(theta_a), and curvatures I''(a) = 1 / mu''(theta_a),
+with mu' and mu'' exact from eigenvalue perturbation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 from .discretize import operators_for
 from .errors import AdmissibleRangeError, ConvergenceError
 from .model import ModelSpec
-from .spectral import FD_STEP, spectral_mu_prime
+from .spectral import _perturbation, spectral_mu_prime
 
 DEFAULT_THETA_MAX = 8.0
 # theta values at which mu'(theta) would overflow the semigroup scale
@@ -34,10 +35,6 @@ class RatePoint:
 class RateTable:
     points: tuple[RatePoint, ...]
     failures: tuple[tuple[float, str], ...] = ()
-
-
-def _mu_second(ops, theta: float, h: float = FD_STEP) -> float:
-    return (spectral_mu_prime(ops, theta + h) - spectral_mu_prime(ops, theta - h)) / (2.0 * h)
 
 
 def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
@@ -81,7 +78,7 @@ def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
             break
         prev, f_prev = theta, f
         theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
-    d2 = _mu_second(ops, theta)
+    d2 = _perturbation(ops, theta)[1]
     if d2 <= 0.0:
         raise ConvergenceError(
             f"mu''({theta:.6g}) = {d2:.3e} is not positive: convexity condition violated")
@@ -97,9 +94,8 @@ def rate_point(spec: ModelSpec, a: float, *, n: int | None = None,
     ops = operators_for(spec, n)
     theta = solve_theta(spec, a, n=n, theta_max=theta_max)
     mu = ops.mu(theta)
-    d2 = _mu_second(ops, theta)
-    if d2 <= 0.0:
-        raise ConvergenceError(f"mu''({theta:.6g}) = {d2:.3e} is not positive")
+    # solve_theta has checked that this mu'' is positive
+    d2 = _perturbation(ops, theta)[1]
     rate = a * theta - mu
     if rate < -1e-12:
         raise ConvergenceError(f"negative rate value {rate:.3e}")

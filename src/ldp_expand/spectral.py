@@ -1,6 +1,8 @@
 """Tilted spectra: cumulant curve mu(theta), eigenfunctions, spectral gaps,
-cumulant derivatives with an independent spectral cross-check, and the
-complex-tilt diagnostics used by the condition suite.
+exact cumulant derivatives and the corrector from one eigenvalue
+perturbation routine (finite differences and the effective diffusivity kept
+as cross-checks), and the complex-tilt diagnostics used by the condition
+suite.
 
 Notation: G(theta) is the tilted generator, mu(theta) its rightmost
 eigenvalue (the log of the time-1 Perron eigenvalue), g/psi the right/left
@@ -19,9 +21,9 @@ from .discretize import GeneratorMatrix, operators_for
 from .errors import ConvergenceError, SolvabilityError
 from .model import ModelSpec
 
-# finite-difference step for d/dtheta of the cumulant curve, one Richardson level
+# step of the finite-difference cross-check of mu' and mu'', one Richardson level
 FD_STEP = 1e-3
-# spectral and finite-difference derivative values must agree this tightly
+# exact derivatives and their cross-checks must agree this tightly
 CROSSCHECK_RTOL = 5e-3
 
 
@@ -42,11 +44,6 @@ class SpectralTriple:
     gap: float
     residual: float
     weight: float
-
-    def pair(self, values: np.ndarray) -> float | complex:
-        """Bilinear pairing <psi, values>."""
-        out = np.sum(self.psi * values) * self.weight
-        return float(np.real(out)) if np.isrealobj(self.psi) and np.isrealobj(values) else out
 
     def projector(self) -> np.ndarray:
         """Rank-one spectral projector g (x) psi (with the pairing weight)."""
@@ -104,7 +101,7 @@ def spectral_triple(spec: ModelSpec, z: complex, *, n: int | None = None) -> Spe
 
 @dataclass(frozen=True)
 class DerivativeCrossCheck:
-    """Finite-difference derivatives next to their spectral counterparts."""
+    """Finite-difference derivatives next to the exact perturbation values."""
 
     theta: float
     d1_fd: float
@@ -113,17 +110,14 @@ class DerivativeCrossCheck:
     d2_spectral: float
 
     @property
-    def d1_rel_err(self) -> float:
-        return abs(self.d1_fd - self.d1_spectral) / max(abs(self.d1_fd), 1e-12)
-
-    @property
     def d2_rel_err(self) -> float:
         return abs(self.d2_fd - self.d2_spectral) / max(abs(self.d2_fd), 1e-12)
 
 
 def cgf_fd_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None,
                        h: float = FD_STEP) -> tuple[float, float]:
-    """Richardson-extrapolated central differences of the cumulant curve."""
+    """Richardson-extrapolated central differences of the cumulant curve;
+    an independent cross-check of the exact values."""
     ops = operators_for(spec, n)
     m2, m1, m0, p1, p2 = (ops.mu(theta + k * h) for k in (-2, -1, 0, 1, 2))
     d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
@@ -132,60 +126,83 @@ def cgf_fd_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None,
 
 
 def cgf_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None) -> tuple[float, float]:
-    """(mu'(theta), mu''(theta)) by finite differences, cross-checked against
-    the stationary-drift and effective-diffusivity spectral formulas.
+    """(mu'(theta), mu''(theta)), exact from eigenvalue perturbation.
 
-    Raises ConvergenceError when the two routes disagree beyond 0.5 percent,
-    which flags a discretization or corrector failure.
+    Cross-checked against the finite differences of ``cgf_fd_derivatives``
+    and, on diffusions, against the effective diffusivity Xi(theta); raises
+    ConvergenceError when either disagrees beyond CROSSCHECK_RTOL (0.5
+    percent), which flags a discretization or corrector failure.
     """
     check = cgf_derivative_crosscheck(spec, theta, n=n)
     scale1 = max(abs(check.d1_fd), abs(check.d2_fd), 1e-8)
     if abs(check.d1_fd - check.d1_spectral) > CROSSCHECK_RTOL * scale1:
         raise ConvergenceError(
             f"mu'({theta}) mismatch: finite differences {check.d1_fd:.10g} vs "
-            f"spectral {check.d1_spectral:.10g}")
+            f"perturbation {check.d1_spectral:.10g}")
     if check.d2_rel_err > CROSSCHECK_RTOL:
         raise ConvergenceError(
             f"mu''({theta}) mismatch: finite differences {check.d2_fd:.10g} vs "
-            f"effective diffusivity {check.d2_spectral:.10g}")
-    return check.d1_fd, check.d2_fd
+            f"perturbation {check.d2_spectral:.10g}")
+    ops = operators_for(spec, n)
+    if not ops.is_chain:
+        xi = effective_diffusivity_core(ops, theta)[0]
+        if abs(xi - check.d2_spectral) > CROSSCHECK_RTOL * abs(check.d2_spectral):
+            raise ConvergenceError(
+                f"mu''({theta}) mismatch: perturbation {check.d2_spectral:.10g} vs "
+                f"effective diffusivity {xi:.10g}")
+    return check.d1_spectral, check.d2_spectral
 
 
 def cgf_derivative_crosscheck(spec: ModelSpec, theta: float, *,
                               n: int | None = None) -> DerivativeCrossCheck:
-    ops = operators_for(spec, n)
     d1, d2 = cgf_fd_derivatives(spec, theta, n=n)
-    if ops.is_chain:
-        s1, s2 = _chain_spectral_derivatives(ops, theta)
-    else:
-        s1 = stationary_tilted_drift(ops, theta)
-        s2, _, _, _ = effective_diffusivity_core(ops, theta)
+    s1, s2, _ = _perturbation(operators_for(spec, n), theta)
     return DerivativeCrossCheck(theta=float(theta), d1_fd=d1, d2_fd=d2,
                                 d1_spectral=s1, d2_spectral=s2)
 
 
 # ---------------------------------------------------------------------------
-# Spectral derivative formulas and the corrector.
+# Eigenvalue perturbation and the corrector.
 
-def stationary_tilted_drift(ops, theta: float) -> float:
-    """c_theta = integral of (b + theta sigma^2) against psi_theta g_theta;
-    equals mu'(theta)."""
-    _, g, psi = ops.perron(float(theta))
-    pi = psi * g * ops.weight
-    return float(np.sum((ops.b + theta * ops.sigma2) * pi))
+def _perturbation(ops, theta: float, second: bool = True):
+    """(mu'(theta), mu''(theta), gdot) by first- and second-order perturbation
+    of the Perron triple (value, g, psi) of M(theta) (Kato, Perturbation
+    Theory for Linear Operators, ch. II):
+
+        value'  = <psi, M' g>,
+        (M - value) gdot = value' g - M' g   with   <psi, gdot> = 0,
+        value'' = <psi, M'' g + 2 M' gdot>.
+
+    M is the tilted generator (mu = value) or a chain's time-1 transfer
+    matrix (mu = log value); ``ops._tilt_terms`` supplies M and the actions
+    of M' and M''.  A rank-one pin at the largest entry k of psi g keeps
+    M - value invertible, and psi-orthogonality of the right-hand side forces
+    the solution's k-th entry to vanish, so it solves the singular system.
+    ``second=False`` stops after mu' and returns (mu', None, None)."""
+    theta = float(theta)
+    value, g, psi = ops.perron(theta)
+    op, d1M, d2M = ops._tilt_terms(theta)
+
+    def pair(u):
+        return float(np.sum(psi * u) * ops.weight)
+
+    M1g = d1M(g)
+    v1 = pair(M1g)
+    mu1 = v1 / value if ops.is_chain else v1
+    if not second:
+        return mu1, None, None
+    pin = np.zeros(g.size)
+    pin[int(np.argmax(psi * g))] = op.scale
+    h = op.shifted_diagonal(pin).shifted_solver(value)(v1 * g - M1g)
+    gdot = h - pair(h) * g
+    v2 = pair(d2M(g) + 2.0 * d1M(gdot))
+    mu2 = v2 / value - mu1 * mu1 if ops.is_chain else v2
+    return mu1, mu2, gdot
 
 
 def spectral_mu_prime(ops, theta: float) -> float:
-    """mu'(theta) through first-order eigenvalue perturbation: the stationary
-    tilted drift for diffusions, lambda'/lambda for chains."""
-    theta = float(theta)
-    if not ops.is_chain:
-        return stationary_tilted_drift(ops, theta)
-    ed = ops.eigendata(theta)
-    lam = float(np.real(ed.value))
-    drift = ops.m + theta * ops.var
-    T1 = ops.tilted(theta) * drift[None, :]
-    return float(ed.psi @ (T1 @ ed.g)) / lam
+    """mu'(theta): the first-order part of ``_perturbation``, with no solve."""
+    return _perturbation(ops, theta, second=False)[0]
 
 
 def solve_corrector(ops, theta: float) -> tuple[np.ndarray, float, float]:
@@ -193,39 +210,29 @@ def solve_corrector(ops, theta: float) -> tuple[np.ndarray, float, float]:
 
     Returns (f, c_theta, residual).  A~ is the generator of the tilted torus
     process, the conjugation (1/g)(G - mu)(g .) whose continuum form is
-    A + (V V^T)(grad log g) grad.  Solvability holds because the right-hand
-    side is orthogonal to the tilted invariant measure psi g; the solve pins
-    the free constant by zero pi-mean.
+    A + (V V^T)(grad log g) grad.  The perturbation equation
+    (G - mu) gdot = (mu' - b - theta sigma^2) g is this problem for
+    f = gdot / g and c_theta = mu', with zero mean under pi = psi g.
     """
     theta = float(theta)
+    c_theta, _, gdot = _perturbation(ops, theta)
     mu, g, psi = ops.perron(theta)
     pi = psi * g * ops.weight
     drift = ops.b + theta * ops.sigma2
-    c_theta = float(np.sum(drift * pi))
     rhs = c_theta - drift
     ortho = float(np.sum(rhs * pi))
     if abs(ortho) > 1e-10 * max(1.0, float(np.max(np.abs(drift)))):
         raise SolvabilityError(f"corrector right-hand side not orthogonal to pi ({ortho:.3e})")
-    # (G - mu) h = g rhs with h = g f.  G - mu is singular (right null vector
-    # g, left null vector psi); the rank-one pin p e_k e_k^T keeps the operator
-    # cyclic tridiagonal and invertible, and psi-orthogonality of the
-    # right-hand side forces h_k = 0, so h solves the singular system.
-    G = ops.operator(theta)
-    pin = np.zeros(g.size)
-    pin[int(np.argmax(pi))] = G.scale
-    h = G.shifted_diagonal(pin).shifted_solver(mu)(g * rhs)
-    f = h / g
-    f -= np.sum(f * pi)
-    gf = g * f
-    residual = float(np.max(np.abs((G.matvec(gf) - mu * gf) / g - rhs)))
+    residual = float(np.max(np.abs((ops.operator(theta).matvec(gdot) - mu * gdot) / g - rhs)))
     if residual > max(1e-8, 1e-8 * float(np.max(np.abs(rhs)))):
         raise SolvabilityError(f"corrector Poisson solve residual {residual:.3e} exceeds 1e-8")
-    return f, c_theta, residual
+    return gdot / g, c_theta, residual
 
 
 def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, float, float]:
     """Xi(theta) = integral of |V grad f|^2 + sigma^2 against psi g, with f
-    the corrector; equals mu''(theta).  Returns (xi, f, c_theta, residual)."""
+    the corrector; equals mu''(theta) up to discretization error.  Returns
+    (xi, f, c_theta, residual)."""
     f, c_theta, residual = solve_corrector(ops, theta)
     _, g, psi = ops.perron(float(theta))
     pi = psi * g * ops.weight
@@ -233,27 +240,6 @@ def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, fl
     fprime = (np.roll(f, -1) - np.roll(f, 1)) * (0.5 * n)
     xi = float(np.sum((ops.vv * fprime**2 + ops.sigma2) * pi))
     return xi, f, c_theta, residual
-
-
-def _chain_spectral_derivatives(ops, theta: float) -> tuple[float, float]:
-    """Exact eigenvalue-perturbation derivatives of log lambda for a chain."""
-    theta = float(theta)
-    ed = ops.eigendata(theta)
-    lam = float(np.real(ed.value))
-    g, psi = ed.g, ed.psi
-    T = ops.tilted(theta)
-    drift = ops.m + theta * ops.var
-    T1 = T * drift[None, :]
-    T2 = T * (drift**2 + ops.var)[None, :]
-    lam1 = float(psi @ (T1 @ g))
-    # dg/dtheta from (T - lam) gdot = (lam' - T') g, pinned by psi-orthogonality
-    rhs = lam1 * g - T1 @ g
-    aug = np.vstack([T - lam * np.eye(T.shape[0]), psi[None, :]])
-    gdot, *_ = np.linalg.lstsq(aug, np.concatenate([rhs, [0.0]]), rcond=None)
-    lam2 = float(psi @ (T2 @ g)) + 2.0 * float(psi @ (T1 @ gdot)) - 2.0 * lam1 * float(psi @ gdot)
-    d1 = lam1 / lam
-    d2 = lam2 / lam - d1 * d1
-    return d1, d2
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,32 @@ def test_invalid_model_rejected(tmp_path):
         cli.parse_config(write_config(tmp_path, payload))
 
 
+CHAIN = {"kind": "discrete_chain", "transition": [[0.5, 0.5], [0.5, 0.5]],
+         "increment_mean": [1.0, -1.0], "increment_var": [0.0, 0.0]}
+
+
+MALFORMED = [
+    ({"tol": "abc"}, "tol"),
+    ({"a_grid": ["x"]}, "a_grid"),
+    ({"theta_max": None}, "theta_max"),
+    ({"model": {"builtin": "gaussian_baseline", "grid_n": "abc"}}, "model.grid_n"),
+    ({"model": "bad.json"}, "bad.json"),
+    ({"model": dict(CHAIN, increment_mean=["q"])}, "model.increment_mean"),
+]
+
+
+@pytest.mark.parametrize("payload, key", MALFORMED, ids=[key for _, key in MALFORMED])
+def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys, payload, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    path = write_config(tmp_path, {"model": {"builtin": "gaussian_baseline"}, **payload})
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_emit_parse_round_trip(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, BASE))
     emitted = json.dumps(cfg.raw, sort_keys=True)

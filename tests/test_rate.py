@@ -18,6 +18,7 @@ def test_gaussian_theta_equals_a(gaussian):
     rp = lx.rate_point(gaussian, 2.0, n=64)
     assert abs(rp.theta - 2.0) < 1e-10
     assert abs(rp.rate - 2.0) < 1e-10
+    assert abs(rp.curvature - 1.0) < 1e-12
 
 
 def test_gaussian_rate_table_values(gaussian):
@@ -82,10 +83,13 @@ def test_rate_convexity(gaussian):
 
 
 def test_chain_rate_matches_cosh(pm1_chain):
-    rp = lx.rate_point(pm1_chain, 0.6)
-    theta = np.arctanh(0.6)
-    assert abs(rp.theta - theta) < 1e-10
-    assert abs(rp.rate - (0.6 * theta - np.log(np.cosh(theta)))) < 1e-12
+    for a in (0.6, 0.3):
+        rp = lx.rate_point(pm1_chain, a)
+        theta = np.arctanh(a)
+        assert abs(rp.theta - theta) < 1e-10
+        assert abs(rp.rate - (a * theta - np.log(np.cosh(theta)))) < 1e-12
+        # I''(a) = 1 / mu''(theta_a) = cosh^2(theta_a), exact from the perturbation solve
+        assert abs(rp.curvature / np.cosh(rp.theta) ** 2 - 1.0) < 1e-12
 
 
 @given(st.floats(0.05, 1.9))

@@ -6,6 +6,7 @@ import ldp_expand.spectral as sp
 from ldp_expand._eigen import spectrum
 from ldp_expand.discretize import operators_for
 from ldp_expand.errors import DegenerateSpectrumError
+from ldp_expand.spectral import spectral_mu_prime
 
 # dense eigensolve oracle values, recorded at n=512 (Mathieu model)
 MATHIEU_MU = {0.5: 0.131330876822688, 1.0: 0.525302237978796, 2.0: 2.10087162069197}
@@ -52,6 +53,8 @@ def test_cgf_derivatives_gaussian(gaussian):
     d1, d2 = lx.cgf_derivatives(gaussian, 1.3, n=64)
     assert abs(d1 - 1.3) < 1e-9
     assert abs(d2 - 1.0) < 1e-6
+    # exact second-order perturbation, not a finite difference
+    assert abs(d2 - 1.0) < 1e-12
 
 
 def test_centered_slope_vanishes(mathieu):
@@ -76,6 +79,30 @@ def test_chain_derivatives_match_cosh(pm1_chain):
     d1, d2 = lx.cgf_derivatives(pm1_chain, theta)
     assert abs(d1 - np.tanh(theta)) < 1e-9
     assert abs(d2 - 1.0 / np.cosh(theta) ** 2) < 1e-7
+    assert abs(d2 * np.cosh(theta) ** 2 - 1.0) < 1e-12
+
+
+def _noisy_chain_mu(z):
+    """log of the closed-form Perron root of the 2x2 tilted transfer matrix
+    of ``noisy_two_state_chain``, at each complex tilt in z."""
+    spec = lx.noisy_two_state_chain()
+    (p00, p01), (p10, p11) = spec.transition
+    w0, w1 = (np.exp(z * m + 0.5 * z * z * v)
+              for m, v in zip(spec.increment_mean, spec.increment_var))
+    tr, det = p00 * w0 + p11 * w1, (p00 * p11 - p01 * p10) * w0 * w1
+    return np.log(0.5 * (tr + np.sqrt(tr * tr - 4.0 * det)))
+
+
+@pytest.mark.parametrize("theta", [-0.5, 0.0, 0.2, 0.8, 1.5])
+def test_noisy_chain_derivatives_match_closed_form(theta):
+    # Cauchy integral of radius 0.1 over 64 points: mu^(k) = k! r^-k mean(mu e^{-ik phi})
+    r, phi = 0.1, 2.0 * np.pi * np.arange(64) / 64
+    mu = _noisy_chain_mu(theta + r * np.exp(1j * phi))
+    ref1 = float(np.real(np.mean(mu * np.exp(-1j * phi)))) / r
+    ref2 = 2.0 * float(np.real(np.mean(mu * np.exp(-2j * phi)))) / r**2
+    d1, d2 = lx.cgf_derivatives(lx.noisy_two_state_chain(), theta)
+    assert abs(d1 - ref1) < 1e-10
+    assert abs(d2 - ref2) < 1e-10
 
 
 def test_check_b3_gaussian_value(gaussian):
@@ -166,5 +193,5 @@ def test_effective_diffusivity_core_identity(mathieu):
     _, d2 = sp.cgf_fd_derivatives(mathieu, 0.5, n=256)
     assert abs(xi - d2) / d2 < 5e-3
     assert resid < 1e-8
-    # warm-iterated and densely polished pairs agree to solver precision
-    assert abs(c_theta - sp.stationary_tilted_drift(ops, 0.5)) < 1e-10
+    # the corrector's c_theta is mu', from the same perturbation routine
+    assert abs(c_theta - spectral_mu_prime(ops, 0.5)) < 1e-10
