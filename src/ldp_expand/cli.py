@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expansion, model, rate, simulate, spectral, verify
 from .errors import ConfigError, LdpExpandError
-from .fields import field_from_config
+from .fields import config_integer, config_number, config_numbers, field_from_config
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
 
@@ -131,10 +131,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
     _check_keys(cfg["simulate"], _SIM_KEYS, "simulate")
     _check_keys(cfg["conditions"], _COND_KEYS, "conditions")
     _check_keys(cfg["expand"], _EXPAND_KEYS, "expand")
-    tol = _number(cfg["tol"], "tol")
+    tol = config_number(cfg["tol"], "tol")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    theta_max = _number(cfg["theta_max"], "theta_max")
+    theta_max = config_number(cfg["theta_max"], "theta_max")
     if theta_max <= 0:
         raise ConfigError("theta_max must be positive")
     report = validate_spec(spec, n=min(grid_n, 512))
@@ -142,7 +142,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("model fails validation: " + "; ".join(report.violations))
     return RunConfig(
         spec=spec, frame=frame, grid_n=grid_n, theta_max=theta_max, tol=tol,
-        order=_positive_int(cfg["order"], "order"), seed=_integer(cfg["seed"], "seed"),
+        order=_positive_int(cfg["order"], "order"), seed=config_integer(cfg["seed"], "seed"),
         output_dir=Path(cfg["output_dir"]),
         theta_grid=_grid(cfg["theta_grid"], "theta_grid"),
         a_grid=_grid(cfg["a_grid"], "a_grid"),
@@ -151,31 +151,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raw=cfg)
 
 
-def _integer(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
 def _positive_int(value, key: str) -> int:
-    i = _integer(value, key)
+    i = config_integer(value, key)
     if i <= 0:
         raise ConfigError(f"{key} must be positive, got {i}")
     return i
-
-
-def _number(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
-def _numbers(values, key: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_number(v, key) for v in values)
 
 
 def _grid(obj, key: str) -> tuple[float, ...]:
@@ -185,7 +165,8 @@ def _grid(obj, key: str) -> tuple[float, ...]:
             raise ConfigError(f"{key}: unknown grid key(s) {', '.join(sorted(extra))}")
         if "min" not in obj or "max" not in obj:
             raise ConfigError(f"{key}: grid objects need min and max")
-        lo, hi = _number(obj["min"], f"{key}.min"), _number(obj["max"], f"{key}.max")
+        lo = config_number(obj["min"], f"{key}.min")
+        hi = config_number(obj["max"], f"{key}.max")
         steps = _positive_int(obj.get("steps", 9), f"{key}.steps")
         if obj.get("scale", "linear") == "geometric":
             if lo <= 0:
@@ -193,7 +174,7 @@ def _grid(obj, key: str) -> tuple[float, ...]:
             return tuple(np.geomspace(lo, hi, steps))
         return tuple(np.linspace(lo, hi, steps))
     if isinstance(obj, (list, tuple)):
-        return _numbers(obj, key)
+        return config_numbers(obj, key)
     raise ConfigError(f"{key} must be a list or a min/max/steps object")
 
 
@@ -237,10 +218,12 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
         if not isinstance(v_list, list):
             v_list = [v_list]
         spec = TorusDiffusionSpec(
-            fields_v=tuple(field_from_config(v) for v in v_list),
-            drift_v0=field_from_config(fields.get("V0", 0.0)),
-            obs_drift_b=field_from_config(observable.get("b", 0.0)),
-            obs_noise_sigma=field_from_config(observable.get("sigma", 1.0)))
+            fields_v=tuple(field_from_config(v, f"model.fields.V[{i}]")
+                           for i, v in enumerate(v_list)),
+            drift_v0=field_from_config(fields.get("V0", 0.0), "model.fields.V0"),
+            obs_drift_b=field_from_config(observable.get("b", 0.0), "model.observable.b"),
+            obs_noise_sigma=field_from_config(observable.get("sigma", 1.0),
+                                              "model.observable.sigma"))
         return spec, _parse_frame(obj.get("eval_frame")), _model_grid_n(obj)
     if kind == "discrete_chain":
         _check_keys(obj, _MODEL_KEYS_CHAIN, "model")
@@ -250,9 +233,9 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
         if not isinstance(obj["transition"], list):
             raise ConfigError("model.transition must be a list of rows")
         spec = DiscreteChainSpec(
-            transition=tuple(_numbers(row, "model.transition") for row in obj["transition"]),
-            increment_mean=_numbers(obj["increment_mean"], "model.increment_mean"),
-            increment_var=_numbers(obj["increment_var"], "model.increment_var"))
+            transition=tuple(config_numbers(row, "model.transition") for row in obj["transition"]),
+            increment_mean=config_numbers(obj["increment_mean"], "model.increment_mean"),
+            increment_var=config_numbers(obj["increment_var"], "model.increment_var"))
         return spec, _parse_frame(obj.get("eval_frame")), None
     raise ConfigError(f"model.kind must be 'torus_diffusion' or 'discrete_chain', got {kind!r}")
 
@@ -269,7 +252,7 @@ def _parse_frame(obj) -> EvaluationFrame:
     x0 = obj.get("x0", 0)
     v = obj.get("v")
     if v is not None:
-        v = _numbers(v, "eval_frame.v")
+        v = config_numbers(v, "eval_frame.v")
     return EvaluationFrame(x0=x0, v=v)
 
 

@@ -145,11 +145,14 @@ class CyclicTridiagonal:
 
         Writes M - sigma = T + u w^T with u = (gamma, 0, ..., 0, a) and
         w = (1, 0, ..., 0, b / gamma), where a and b are the bottom-left and
-        top-right corners and T is tridiagonal; gamma = -(M - sigma)_{00}
-        keeps T's first pivot clear of cancellation."""
+        top-right corners and T is tridiagonal.  gamma = -(M - sigma)_{00}
+        keeps T's first pivot clear of cancellation; when that entry is
+        smaller than the corners (a pin that cancels the diagonal), gamma =
+        -max(|a|, |b|, 1) keeps b / gamma and a b / gamma bounded instead."""
         d = self.diag - sigma
         a, b = self.up[-1], self.lo[0]
-        gamma = -d[0] if d[0] != 0 else -1.0
+        floor = max(abs(a), abs(b), 1.0)
+        gamma = -d[0] if abs(d[0]) >= floor else -floor
         d[0] -= gamma
         d[-1] -= a * b / gamma
         dl, du = self.lo[1:], self.up[:-1]

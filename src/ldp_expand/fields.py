@@ -155,32 +155,66 @@ def harmonic(kind: str, k: int = 1, amplitude: float = 1.0, phase: float = 0.0) 
     return FourierField(const=0.0, cos=tuple(coef_cos), sin=tuple(coef_sin))
 
 
-def field_from_config(obj) -> Field:
-    """Parse a field descriptor from a config value (number or typed dict)."""
+def field_from_config(obj, key: str = "field") -> Field:
+    """Parse a field descriptor from a config value (number or typed dict);
+    a malformed entry raises ConfigError naming it under ``key``."""
     if isinstance(obj, numbers.Number):
-        return constant(float(obj))
+        return constant(config_number(obj, key))
     if not isinstance(obj, dict):
-        raise ConfigError(f"field descriptor must be a number or an object, got {type(obj).__name__}")
+        raise ConfigError(f"{key}: field descriptor must be a number or an object, "
+                          f"got {type(obj).__name__}")
     kind = obj.get("type")
+
+    def num(name, default=None):
+        return config_number(obj.get(name, default), f"{key}.{name}")
+
+    def nums(name):
+        return config_numbers(obj.get(name, ()), f"{key}.{name}")
+
     if kind == "constant":
         _require_keys(obj, {"type", "value"})
-        return constant(obj["value"])
+        return constant(num("value"))
     if kind == "zero":
         _require_keys(obj, {"type"})
         return zero()
     if kind == "harmonic":
         _require_keys(obj, {"type", "kind", "k", "amplitude", "phase"}, optional={"k", "amplitude", "phase"})
-        return harmonic(obj["kind"], int(obj.get("k", 1)),
-                        float(obj.get("amplitude", 1.0)), float(obj.get("phase", 0.0)))
+        return harmonic(obj["kind"], config_integer(obj.get("k", 1), f"{key}.k"),
+                        num("amplitude", 1.0), num("phase", 0.0))
     if kind == "fourier":
         _require_keys(obj, {"type", "const", "cos", "sin"}, optional={"const", "cos", "sin"})
-        return FourierField(const=float(obj.get("const", 0.0)),
-                            cos=tuple(float(c) for c in obj.get("cos", ())),
-                            sin=tuple(float(c) for c in obj.get("sin", ())))
+        return FourierField(const=num("const", 0.0), cos=nums("cos"), sin=nums("sin"))
     if kind == "tabulated":
         _require_keys(obj, {"type", "values"})
-        return TabulatedField(tuple(float(v) for v in obj["values"]))
+        return TabulatedField(nums("values"))
     raise ConfigError(f"unknown field type {kind!r}")
+
+
+def config_number(value, key: str) -> float:
+    """A config entry as a float; ConfigError naming ``key`` otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def config_numbers(values, key: str) -> tuple[float, ...]:
+    """A config list of numbers; ConfigError naming ``key`` otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(config_number(v, key) for v in values)
+
+
+def config_integer(value, key: str) -> int:
+    """A config entry as an int; an integral float such as 64.0 is accepted,
+    a non-integral one (64.7) is a ConfigError naming ``key``."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, numbers.Number) and i != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return i
 
 
 def field_to_config(f: Field) -> dict:

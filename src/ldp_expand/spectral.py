@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._eigen import spectrum, top_eigen_data
-from .discretize import GeneratorMatrix, operators_for
+from .discretize import GeneratorMatrix, lattice_span, operators_for
 from .errors import ConvergenceError, SolvabilityError
 from .model import ModelSpec
 
@@ -292,7 +292,7 @@ class DecayProfile:
 def decay_profile(spec: ModelSpec, theta: float, s_grid, t_grid, *,
                   n: int | None = None) -> DecayProfile:
     """Sample semigroup norm ratios over (s, t) and fit (K, epsilon)."""
-    s_grid, t_grid = list(s_grid), list(t_grid)
+    s_grid, t_grid = list(s_grid), [float(t) for t in t_grid]
     if not s_grid or not t_grid:
         raise ValueError("decay profile needs nonempty s and t grids")
     ops = operators_for(spec, n)
@@ -300,11 +300,8 @@ def decay_profile(spec: ModelSpec, theta: float, s_grid, t_grid, *,
     mu = ops.mu(theta)
     samples = []
     for s in sorted(float(s) for s in s_grid):
-        for t in t_grid:
-            t = float(t)
-            M = _time_op_normalized(ops, complex(theta, s), t, mu)
-            ratio = float(np.max(np.sum(np.abs(M), axis=1)))
-            samples.append((s, t, ratio))
+        mats = _semigroup(ops, complex(theta, s), t_grid, mu)
+        samples += [(s, t, _rowsum_norm(mats[t])) for t in t_grid]
     K, eps = _fit_decay(samples)
     if eps is None:
         raise ConvergenceError(
@@ -313,17 +310,53 @@ def decay_profile(spec: ModelSpec, theta: float, s_grid, t_grid, *,
     return DecayProfile(theta=theta, samples=tuple(samples), K=K, epsilon=eps)
 
 
+# Most products of one exponential that replace a direct exponential per time.
+MAX_SEMIGROUP_STEPS = 8
+
+
+def _semigroup(ops, z: complex, ts, mu_ref: float) -> dict[float, np.ndarray]:
+    """{t: normalized semigroup matrix} for every t in ts: exp(t (G(z) -
+    mu_ref)) for diffusions, (T(z) e^{-mu_ref})^t for chains.
+
+    On a diffusion the matrix is real when z is.  When the times share a
+    step h (``lattice_span``) with t / h <= MAX_SEMIGROUP_STEPS, one
+    scaling-and-squaring exponential E = exp(h (G - mu_ref)) serves them all
+    and exp(t (G - mu_ref)) = E^{t/h} comes from successive products along
+    the sorted times, as accurate as a direct exponential (Higham, SIAM J.
+    Matrix Anal. Appl. 26 (2005)); otherwise each t takes its own."""
+    ts = sorted({float(t) for t in ts})
+    if ops.is_chain:
+        T = ops.tilted(z) * np.exp(-mu_ref)
+        return {t: np.linalg.matrix_power(T, _chain_steps(t)) for t in ts}
+    z = complex(z)
+    A = ops.tilted(z.real if z.imag == 0.0 else z)
+    idx = np.arange(A.shape[0])
+    A[idx, idx] -= mu_ref
+    h = lattice_span(ts, 0.0)
+    steps = [round(t / h) for t in ts] if h > 0.0 else []
+    if (not steps or steps[0] < 0 or steps[-1] > MAX_SEMIGROUP_STEPS
+            or any(abs(k * h - t) > 1e-12 * abs(t) for k, t in zip(steps, ts))):
+        return {t: sla.expm(t * A) for t in ts}
+    E = sla.expm(h * A)
+    out, M, k = {}, np.eye(A.shape[0], dtype=A.dtype), 0
+    for t, kt in zip(ts, steps):
+        while k < kt:
+            M = M @ E if k else E
+            k += 1
+        out[t] = M
+    return out
+
+
+def _chain_steps(t: float) -> int:
+    steps = int(round(t))
+    if abs(t - steps) > 1e-9 or steps < 0:
+        raise ValueError(f"chain semigroup times must be nonnegative integers, got {t}")
+    return steps
+
+
 def _time_op_normalized(ops, z: complex, t: float, mu_ref: float) -> np.ndarray:
     """exp(t (G(z) - mu_ref)) for diffusions; (T(z) e^{-mu_ref})^t for chains."""
-    if ops.is_chain:
-        steps = int(round(t))
-        if abs(t - steps) > 1e-9 or steps < 0:
-            raise ValueError(f"chain semigroup times must be nonnegative integers, got {t}")
-        return np.linalg.matrix_power(ops.tilted(z) * np.exp(-mu_ref), steps)
-    G = ops.tilted(z).astype(complex, copy=True)
-    idx = np.arange(G.shape[0])
-    G[idx, idx] -= mu_ref
-    return sla.expm(t * G)
+    return _semigroup(ops, z, (t,), mu_ref)[float(t)]
 
 
 def _fit_decay(samples, eps_floor: float = 1e-9):
@@ -366,27 +399,28 @@ def decomposition_check(spec: ModelSpec, theta: float, s: float, t_list, *,
     proj = np.outer(ed.g, ed.psi) * ops.weight
     mu_ref = ops.mu(float(theta))
 
-    rows = []
     t_sorted = sorted(float(t) for t in t_list)
+    t_all = t_sorted + [N * t_sorted[0] for N in (2, 3)] if t_sorted else []
+    mats = _semigroup(ops, z, t_all, mu_ref)
+    log_top = _log_time1(ops, ed.value) - mu_ref
+    tops = {t: np.exp(log_top * t) * proj for t in mats}
+    rems = {t: mats[t] - tops[t] for t in mats}
+
+    rows = []
     for t in t_sorted:
-        Mt = _time_op_normalized(ops, z, t, mu_ref)
-        top = np.exp((_log_time1(ops, ed.value) - mu_ref) * t) * proj
-        R = Mt - top
-        recon = _rowsum_norm(Mt - (top + R))
+        R = rems[t]
         rows.append({
             "t": t,
             "remainder_norm": _rowsum_norm(R),
-            "reconstruction": recon,
+            "reconstruction": _rowsum_norm(mats[t] - (tops[t] + R)),
             "projector_commutator": _rowsum_norm(proj @ R) + _rowsum_norm(R @ proj),
         })
 
     power_residuals = []
     if t_sorted:
         t0 = t_sorted[0]
-        R0 = _remainder(ops, z, t0, mu_ref, proj, ed)
         for N in (2, 3):
-            RN = _remainder(ops, z, N * t0, mu_ref, proj, ed)
-            diff = _rowsum_norm(RN - np.linalg.matrix_power(R0, N))
+            diff = _rowsum_norm(rems[N * t0] - np.linalg.matrix_power(rems[t0], N))
             power_residuals.append((N, diff))
             if diff > 1e-8:
                 raise ConvergenceError(
@@ -404,11 +438,6 @@ def _rowsum_norm(M: np.ndarray) -> float:
 
 def _log_time1(ops, value):
     return np.log(complex(value)) if ops.is_chain else complex(value)
-
-
-def _remainder(ops, z, t, mu_ref, proj, ed):
-    Mt = _time_op_normalized(ops, z, t, mu_ref)
-    return Mt - np.exp((_log_time1(ops, ed.value) - mu_ref) * t) * proj
 
 
 def convexity_profile(spec: ModelSpec, theta_grid, *, n: int | None = None) -> list[tuple[float, float]]:

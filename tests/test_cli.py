@@ -86,6 +86,16 @@ MALFORMED = [
     ({"model": {"builtin": "gaussian_baseline", "grid_n": "abc"}}, "model.grid_n"),
     ({"model": "bad.json"}, "bad.json"),
     ({"model": dict(CHAIN, increment_mean=["q"])}, "model.increment_mean"),
+    ({"grid_n": 64.7}, "grid_n"),
+    ({"seed": 1.5}, "seed"),
+    ({"model": {"kind": "torus_diffusion", "observable": {
+        "b": {"type": "harmonic", "kind": "cos", "k": "abc"}}}}, "model.observable.b.k"),
+    ({"model": {"kind": "torus_diffusion", "fields": {
+        "V0": {"type": "harmonic", "kind": "sin", "k": 2.5}}}}, "model.fields.V0.k"),
+    ({"model": {"kind": "torus_diffusion", "fields": {
+        "V": [1.0, {"type": "tabulated", "values": [1.0, "x"]}]}}}, "model.fields.V[1].values"),
+    ({"model": {"kind": "torus_diffusion", "observable": {
+        "sigma": {"type": "fourier", "cos": 0.5}}}}, "model.observable.sigma.cos"),
 ]
 
 
@@ -99,6 +109,13 @@ def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("config error:")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_integral_float_config_values_are_accepted():
+    cfg = cli.parse_config_dict({"model": {"builtin": "gaussian_baseline"},
+                                 "grid_n": 64.0, "seed": 7.0, "order": 3.0})
+    assert (cfg.grid_n, cfg.seed, cfg.order) == (64, 7, 3)
+    assert all(type(v) is int for v in (cfg.grid_n, cfg.seed, cfg.order))
 
 
 def test_emit_parse_round_trip(tmp_path):

@@ -209,6 +209,34 @@ def test_cyclic_solver_matches_dense_lu(gradient_drift, n):
             assert np.max(np.abs(x - ref)) < tol * np.max(np.abs(ref)), (sigma, trans)
 
 
+def test_cyclic_solver_with_a_pin_that_cancels_the_first_diagonal_entry(mathieu):
+    # the corrector's pin at index 0 cancels Mathieu's flat diagonal at theta = 0,
+    # leaving a (0,0) entry of -sigma; the corner split must not divide by it
+    ops = operators_for(mathieu, 256)
+    op = ops.operator(0.0)
+    pin = np.zeros(256)
+    pin[0] = op.scale
+    pinned = op.shifted_diagonal(pin)
+    assert pinned.diag[0] == 0.0
+    r = np.random.default_rng(0).standard_normal(256)
+    for sigma in (1e-14, -1e-14):
+        A = pinned.dense() - sigma * np.eye(256)
+        solve = pinned.shifted_solver(sigma)
+        for trans in (False, True):
+            ref = np.linalg.solve(A.T if trans else A, r)
+            x = solve(r, trans=trans)
+            assert np.max(np.abs(x - ref)) < 1e-12 * np.max(np.abs(ref)), (sigma, trans)
+
+
+def test_corrector_at_theta_zero_after_a_projector_check(mathieu):
+    # this order left mu(0) a rounding-level nonzero from the dense solve at
+    # theta = 1, which the pinned corrector solve used to divide by
+    lx.clear_caches()
+    assert lx.projector_time_independence(mathieu, 1.0, [1.0, 1.5, 2.0], n=256) < 1e-8
+    d1, _ = lx.cgf_derivatives(mathieu, 0.0, n=256)
+    assert abs(d1) < 1e-8
+
+
 def test_cyclic_products_match_dense(mathieu):
     ops = operators_for(mathieu, 64)
     op = ops.operator(complex(0.5, 2.0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ldp_expand as lx
 import ldp_expand.spectral as sp
@@ -138,6 +139,49 @@ def test_decay_ratio_at_s0_is_one(gaussian):
     ops = operators_for(gaussian, 64)
     M = sp._time_op_normalized(ops, 1.0, 2.0, ops.mu(1.0))
     assert abs(np.max(np.sum(np.abs(M), axis=1)) - 1.0) < 1e-10
+
+
+def _count_expm(monkeypatch) -> list:
+    """Record every scipy.linalg.expm call."""
+    real_expm, calls = scipy.linalg.expm, []
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(1) or real_expm(a))
+    return calls
+
+
+@pytest.mark.parametrize("ts, n_expm", [
+    ((1.0, 1.5, 2.0), 1),               # step 0.5: one exponential, three products
+    ((2.0, 1.0), 1),
+    ((0.5, 1.0, 1.5, 2.0), 1),
+    ((1.0, np.sqrt(2.0)), 2),           # no common step
+    ((0.25, 2.5), 2),                   # step 0.25, but t / h = 10 > 8
+])
+def test_semigroup_matches_direct_exponentials(mathieu, monkeypatch, ts, n_expm):
+    ops = operators_for(mathieu, 128)
+    mu = ops.mu(1.0)
+    real_expm = scipy.linalg.expm
+    calls = _count_expm(monkeypatch)
+    for z in (1.0, complex(1.0, 0.0), complex(1.0, 1.0), complex(0.0, 20.0)):
+        calls.clear()
+        mats = sp._semigroup(ops, z, ts, mu)
+        assert len(calls) == n_expm
+        G = ops.tilted(complex(z)).astype(complex)
+        G[np.diag_indices_from(G)] -= mu
+        for t in ts:
+            M = mats[t]
+            # real arithmetic at a real tilt
+            assert M.dtype == (np.float64 if complex(z).imag == 0.0 else np.complex128)
+            ref = real_expm(t * G)
+            norm = np.max(np.sum(np.abs(ref), axis=1))
+            assert np.max(np.sum(np.abs(M - ref), axis=1)) <= 1e-10 * max(norm, 1e-300), (z, t)
+
+
+def test_decomposition_takes_one_exponential(mathieu, monkeypatch):
+    calls = _count_expm(monkeypatch)
+    # t = 0.5, 1, 2 plus the semigroup checks at 1 and 1.5 share the step 0.5
+    rep = lx.decomposition_check(mathieu, 1.0, 0.1, [0.5, 1.0, 2.0], n=128)
+    assert len(calls) == 1
+    for _, resid in rep.power_residuals:
+        assert resid < 1e-8
 
 
 def test_decay_profile_mathieu_records_epsilon(mathieu):

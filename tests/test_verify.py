@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import comb
 from scipy.stats import norm
 
@@ -224,3 +225,162 @@ def test_b1_rejects_a_pair_off_the_top_branch(mathieu, monkeypatch):
     vals, dense = verify._disc_values(ops, verify._disc_points(0.5, 0.05))
     assert dense == 16
     assert np.max(np.abs(vals - _dense_disc(ops, 0.5))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# D1-2 and D2 from one exponential per tilt, D2 top pairs by power steps.
+
+def _direct_semigroup(ops, z, t, mu):
+    """The reference: one complex expm (or matrix power) per time."""
+    if ops.is_chain:
+        return np.linalg.matrix_power(ops.tilted(z) * np.exp(-mu), int(round(t)))
+    G = ops.tilted(complex(z)).astype(complex)
+    G[np.diag_indices_from(G)] -= mu
+    return scipy.linalg.expm(t * G)
+
+
+def _direct_decay(ops, thetas, s_decay, t_decay):
+    from ldp_expand.spectral import _fit_decay
+    evidence = {}
+    for th in thetas:
+        mu = ops.mu(th)
+        samples = [(s, t, float(np.max(np.sum(np.abs(
+            _direct_semigroup(ops, complex(th, s), t, mu)), axis=1))))
+            for s in sorted(s_decay) for t in t_decay]
+        K, eps = _fit_decay(samples)
+        evidence[th] = (K, eps, None if eps is None else -np.log1p(-eps))
+    return evidence
+
+
+def _dense_projector(ops, th, mats):
+    """D2's dense branch: the largest projector deviation over the time-t
+    matrices ``mats`` ({t: M(t)}), each with a dense ``top_eigen_data``."""
+    from ldp_expand._eigen import top_eigen_data
+    ed = ops.eigendata(th)
+    proj = np.outer(ed.g, ed.psi) * ops.weight
+    worst = 0.0
+    for M in mats.values():
+        ed_t = top_eigen_data(M, weight=ops.weight, sort="abs", positive=True)
+        worst = max(worst, float(np.max(np.abs(np.outer(ed_t.g, ed_t.psi) * ops.weight - proj))))
+    return worst
+
+
+def _direct_projector(ops, th, t_list):
+    return _dense_projector(ops, th, {t: _direct_semigroup(ops, th, t, ops.mu(th)) for t in t_list})
+
+
+@pytest.mark.parametrize("model, n, thetas", [
+    ("mathieu", 128, (0.0, 0.5, 1.0)),
+    ("mathieu", 256, (1.0,)),
+    ("gaussian", 64, (0.0, 0.5, 1.0)),
+    ("gradient_drift", 128, (0.0, 1.0)),
+])
+def test_decay_and_projector_match_direct_exponentials(request, model, n, thetas):
+    spec = request.getfixturevalue(model)
+    ops = operators_for(spec, n)
+    svals, tvals = [0.1, 1.0, 5.0, 20.0, 50.0], [1.0, 1.5, 2.0]
+    decay = verify._check_decay(spec, list(thetas), svals, tvals, n)
+    ref = _direct_decay(ops, thetas, [1.0, 5.0, 20.0, 50.0], tvals)
+    assert decay.passed
+    for th in thetas:
+        ev = decay.evidence[th]
+        for got, want in zip((ev["K"], ev["epsilon"], ev["decay_rate"]), ref[th]):
+            assert abs(got - want) <= 1e-10 * abs(want), (th, got, want)
+    proj = verify._check_projector(ops, list(thetas))
+    assert proj.passed and proj.evidence["dense_fallbacks"] == 0
+    for th in thetas:
+        want = _direct_projector(ops, th, [1.0, 1.5, 2.0])
+        assert want < 1e-8
+        assert abs(proj.evidence["residuals"][th] - want) < 1e-13
+
+
+def test_chain_decay_and_projector_verdicts_match_direct_powers():
+    from ldp_expand.errors import ConvergenceError, DegenerateSpectrumError
+    for chain, thetas in ((lx.checkerboard_chain(), [0.2, 0.5, 1.0]),
+                          (lx.two_state_pm1_chain(), [0.5])):
+        ops = operators_for(chain)
+        decay = verify._check_decay(chain, thetas, [0.5, np.pi], [1, 2], None)
+        try:
+            ref = _direct_decay(ops, thetas, [0.5, np.pi], [1.0, 2.0])
+            want = all(eps is not None for _, eps, _ in ref.values())
+        except (ConvergenceError, DegenerateSpectrumError):
+            want = False
+        assert decay.passed == want
+        proj = verify._check_projector(ops, thetas)
+        try:
+            residuals = [_direct_projector(ops, th, [1, 2]) for th in thetas]
+            want = all(r < 1e-8 for r in residuals)
+            for th, r in zip(thetas, residuals):
+                assert abs(proj.evidence["residuals"][th] - r) < 1e-13
+        except DegenerateSpectrumError:
+            want = False
+        assert proj.passed == want
+        assert proj.evidence["dense_fallbacks"] == 0
+
+
+def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, monkeypatch):
+    expms, eigs = [], []
+    real_expm, real_eig = scipy.linalg.expm, scipy.linalg.eig
+
+    def counting_expm(a, *args, **kwargs):
+        expms.append(a.dtype)
+        return real_expm(a, *args, **kwargs)
+
+    def counting_eig(a, *args, **kwargs):
+        eigs.append(np.count_nonzero(a))
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+    thetas, svals = [0.0, 0.5, 1.0], [0.1, 1.0, 5.0, 20.0, 50.0]
+    n = 96
+    rep = lx.run_condition_suite(mathieu, thetas, svals, [1.0, 1.5, 2.0], n=n)
+    assert rep.passed
+    s_decay = [s for s in svals if s >= 1.0]
+    assert len(expms) == len(thetas) * len(s_decay) + len(thetas)
+    # the projector's exponentials are taken at real tilts in real arithmetic
+    assert sum(dt == np.float64 for dt in expms) == len(thetas)
+    # the only dense eigensolves are of banded generators, one per real centre
+    assert len(eigs) == len(thetas) and all(nnz <= 3 * n for nnz in eigs)
+    assert rep.verdict("D2").evidence["dense_fallbacks"] == 0
+
+
+def _dense_projector_from(ops, th, t_list):
+    """The dense branch on the shared-step routine's own matrices."""
+    from ldp_expand.spectral import _semigroup
+    return _dense_projector(ops, th, _semigroup(ops, th, t_list, ops.mu(th)))
+
+
+def _patch_seed(monkeypatch, ops, changes):
+    """Serve the projector check a modified copy of the time-1 pair."""
+    import dataclasses
+    real = ops.eigendata
+    monkeypatch.setattr(ops, "eigendata",
+                        lambda z: dataclasses.replace(real(z), **changes(real(z))))
+
+
+def test_projector_falls_back_to_dense_when_power_steps_are_too_many(mathieu, monkeypatch):
+    thetas, t_list = [0.0, 0.5, 1.0], [1.0, 1.5, 2.0]
+    ops = DiffusionOperators(mathieu, 64)
+    # a gap 100 times smaller needs more than three power steps at every t
+    _patch_seed(monkeypatch, ops, lambda ed: {"gap": ed.gap / 100.0})
+    verdict = verify._check_projector(ops, thetas)
+    assert verdict.evidence["dense_fallbacks"] == len(thetas) * len(t_list)
+    for th in thetas:
+        want = _dense_projector_from(ops, th, t_list)
+        assert abs(verdict.evidence["residuals"][th] - want) < 1e-15
+    assert verdict.passed
+
+
+def test_projector_refuses_power_steps_that_leave_a_residual(mathieu, monkeypatch):
+    # an overstated gap asks for one step from a flat seed, which leaves a
+    # sub-dominant part of about e^{-gap} at t = 1
+    thetas, t_list = [0.5, 1.0], [1.0]
+    ops = DiffusionOperators(mathieu, 64)
+    _patch_seed(monkeypatch, ops, lambda ed: {"gap": ed.gap * 100.0,
+                                                      "g": np.ones_like(ed.g)})
+    verdict = verify._check_projector(ops, thetas)
+    assert verdict.evidence["dense_fallbacks"] == len(thetas) * len(t_list)
+    for th in thetas:
+        want = _dense_projector_from(ops, th, t_list)
+        assert abs(verdict.evidence["residuals"][th] - want) < 1e-15
