@@ -529,6 +529,26 @@ _COMMANDS = {
 }
 
 
+def _range_flags(args, var: str, spacing) -> tuple[float, ...] | None:
+    """The grid of --VAR-min, --VAR-max and --VAR-steps (default 9 points),
+    None when none of them is given; ValueError naming the flag when the
+    range is half given or its step count is not positive."""
+    lo, hi, steps = (getattr(args, f"{var}_{part}") for part in ("min", "max", "steps"))
+    if lo is None and hi is None and steps is None:
+        return None
+    for value, part in ((lo, "min"), (hi, "max")):
+        if value is None:
+            raise ValueError(f"--{var}-{part} is required with the other --{var}-* flags")
+    if steps is None:
+        steps = 9
+    elif steps < 1:
+        raise ValueError(f"--{var}-steps must be a positive integer, got {steps}")
+    try:
+        return tuple(spacing(lo, hi, steps))
+    except ValueError as exc:
+        raise ValueError(f"--{var}-min/--{var}-max: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ldp-expand",
@@ -574,15 +594,23 @@ def main(argv=None) -> int:
         return 1
 
     overrides: dict = {}
-    if args.command == "rate" and args.a_min is not None and args.a_max is not None:
-        overrides["a_grid"] = tuple(np.linspace(args.a_min, args.a_max, args.a_steps or 9))
+    try:
+        if args.command == "rate":
+            grid = _range_flags(args, "a", np.linspace)
+            if grid is not None:
+                overrides["a_grid"] = grid
+        if args.command == "expand":
+            grid = _range_flags(args, "t", np.geomspace)
+            if grid is not None:
+                overrides["t_grid"] = grid
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "expand":
         if args.a is not None:
             overrides["a"] = args.a
         if args.order is not None:
             overrides["order"] = args.order
-        if args.t_min is not None and args.t_max is not None:
-            overrides["t_grid"] = tuple(np.geomspace(args.t_min, args.t_max, args.t_steps or 9))
     if args.command == "simulate":
         for key, val in (("a", args.a), ("t", args.t), ("dt", args.dt),
                          ("n_paths", args.paths), ("seed", args.seed), ("method", args.method)):

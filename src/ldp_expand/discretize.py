@@ -411,8 +411,10 @@ class DiffusionOperators:
         # top-pair continuation along saddle lines: theta -> {s: (value, g, psi)}
         self._top_lines: dict[float, dict[float, tuple]] = {}
         self._top_cert: dict = {}
-        # certifications whose full transform fell back to the dense nmgf
+        # certifications, and saddle-line nodes the single mode does not
+        # cover, whose Krylov transform fell back to the dense nmgf
         self.certify_fallbacks = 0
+        self.quadrature_fallbacks = 0
 
     # -- operators ---------------------------------------------------------
     def operator(self, z: complex) -> CyclicTridiagonal:
@@ -532,6 +534,17 @@ class DiffusionOperators:
         ts = np.asarray(ts, dtype=float)
         return np.array([np.sum(c * np.exp((w - mu_ref) * t)) for t in ts])
 
+    def nmgf_krylov(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float,
+                    rtol: float, peak: float = 0.0):
+        """Normalized transform  E_x0[e^{z Y_t}] * exp(-t mu_ref)  by
+        ``krylov_expm_entry`` on the banded G(z), settled to rtol times
+        max(peak, |value|); None when the Krylov space does not settle."""
+        z = complex(z)
+        n = self.grid.n
+        # a real tilt keeps the operator, and the Krylov space, real
+        return krylov_expm_entry(self.operator(z if z.imag else z.real), mu_ref, t,
+                                 frame.index_on(n), frame.vector_on(n), rtol, peak)
+
     def top_pair(self, theta: float, s: float):
         """Dominant eigen pair of G(theta + i s), continued in s from the real
         Perron pair by two-sided Rayleigh-quotient iteration; None when the
@@ -586,12 +599,9 @@ class DiffusionOperators:
             if not verdict and t <= ok_t:
                 return False
         mu_ref = self.mu(theta)
-        i0 = frame.index_on(self.grid.n)
-        v = frame.vector_on(self.grid.n)
 
         def full_at(s: float, peak: float) -> complex:
-            z = complex(theta, s) if s else theta
-            value = krylov_expm_entry(self.operator(z), mu_ref, t, i0, v, 1e-3 * tol, peak)
+            value = self.nmgf_krylov(complex(theta, s), t, frame, mu_ref, 1e-3 * tol, peak)
             if value is None:
                 self.certify_fallbacks += 1
                 value = self.nmgf(complex(theta, s), (t,), frame, mu_ref)[0]

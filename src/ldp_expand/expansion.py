@@ -238,21 +238,34 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) 
     # decomposition; certify its remainder against the full transform first
     use_top = (not ops.is_chain) and ops.certify_top_mode(
         theta, t, frame, 0.02 * rel_tol, (0.0, 4.0 * width, 8.0 * width))
+    # otherwise diffusion nodes take the full transform by banded Krylov,
+    # settled relative to its value at s = 0
+    krylov = not (use_top or ops.is_chain)
+    peak = 0.0
     cache: dict[float, complex] = {}
+
+    def normalized(s: float) -> complex:
+        z = complex(theta, s)
+        if use_top:
+            top = ops.nmgf_top(z, (t,), frame, mu_theta)
+            if top is not None:
+                return top[0]
+        elif krylov:
+            nm = ops.nmgf_krylov(z, t, frame, mu_theta, 1e-3 * rel_tol, peak)
+            if nm is not None:
+                return nm
+            ops.quadrature_fallbacks += 1
+        return ops.nmgf(z, (t,), frame, mu_theta)[0]
 
     def F(s: float) -> complex:
         val = cache.get(s)
         if val is None:
-            nm = None
-            if use_top:
-                top = ops.nmgf_top(complex(theta, s), (t,), frame, mu_theta)
-                if top is not None:
-                    nm = top[0]
-            if nm is None:
-                nm = ops.nmgf(complex(theta, s), (t,), frame, mu_theta)[0]
-            val = nm * np.exp(-1j * s * a * t) * kernel(s)
+            val = normalized(s) * np.exp(-1j * s * a * t) * kernel(s)
             cache[s] = val
         return val
+
+    if krylov:
+        peak = abs(F(0.0) / kernel(0.0))
 
     def quadrature(h: float, S: float) -> tuple[float, float, float]:
         ks = range(int(np.ceil(S / h)) + 1)

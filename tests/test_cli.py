@@ -289,3 +289,22 @@ def test_simulate_rejects_bad_step_and_horizon(tmp_path):
         assert f"error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "p_hat" not in proc.stdout
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("rate", ["--a-min", "0.2"], "--a-max"),
+    ("rate", ["--a-max", "0.8"], "--a-min"),
+    ("rate", ["--a-steps", "3"], "--a-min"),
+    ("rate", ["--a-min", "0.2", "--a-max", "0.8", "--a-steps", "0"], "--a-steps"),
+    ("expand", ["--t-min", "16"], "--t-max"),
+    ("expand", ["--t-max", "256", "--t-steps", "3"], "--t-min"),
+    ("expand", ["--t-min", "16", "--t-max", "256", "--t-steps", "-2"], "--t-steps"),
+    ("expand", ["--t-min", "0", "--t-max", "256"], "--t-min"),
+])
+def test_half_given_range_is_a_usage_error(tmp_path, capsys, command, flags, named):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(BASE, output_dir=str(out)))
+    assert cli.main([command, "--config", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and named in err
+    assert not out.exists()

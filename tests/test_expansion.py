@@ -302,7 +302,24 @@ def test_cold_mathieu_tail_takes_no_dense_eigensolve(mathieu, frame, monkeypatch
     lx.clear_caches()
     lx.rate_point(mathieu, 0.3, n=256)
     lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256, rel_tol=1e-6)
+    # t = 0.5 is not certified for the single mode: every node takes Krylov
+    lx.exact_tail(mathieu, frame, 0.3, 0.5, n=256)
     assert calls == []
+    assert lx.operators_for(mathieu, 256).quadrature_fallbacks == 0
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_uncertified_nodes_match_the_dense_transform(mathieu, frame, monkeypatch, n):
+    from ldp_expand import discretize
+    lx.clear_caches()
+    p_krylov = lx.exact_tail(mathieu, frame, 0.3, 0.5, n=n)
+    ops = discretize.operators_for(mathieu, n)
+    assert ops.quadrature_fallbacks == 0 and not ops._mgf_cache
+    monkeypatch.setattr(discretize, "krylov_expm_entry", lambda *args, **kwargs: None)
+    lx.clear_caches()
+    p_dense = lx.exact_tail(mathieu, frame, 0.3, 0.5, n=n)
+    assert discretize.operators_for(mathieu, n).quadrature_fallbacks > 100
+    assert abs(p_krylov - p_dense) <= 1e-9 * p_dense
 
 
 def test_short_horizons_fail_with_a_hint(mathieu, frame):

@@ -61,6 +61,53 @@ def test_noise_blocks_keep_the_philox_layout():
         assert hashlib.sha256(simulate._noise_block(*args).tobytes()).hexdigest() == digest
 
 
+def _two_field_constant_spec():
+    return TorusDiffusionSpec(fields_v=(fields.constant(2.0), fields.constant(-0.5)),
+                              drift_v0=fields.constant(0.3), obs_drift_b=fields.constant(-0.2),
+                              obs_noise_sigma=fields.constant(1.5))
+
+
+def test_constant_coefficients_draw_one_block_per_stream(monkeypatch, gaussian):
+    calls = []
+
+    def counted(*args, _draw=simulate._philox_normals):
+        calls.append(args[1])
+        return _draw(*args)
+
+    monkeypatch.setattr(simulate, "_philox_normals", counted)
+    for t in (0.05, 16.0):
+        calls.clear()
+        lx.euler_maruyama(gaussian, t, 1e-3, 50, seed=3)
+        assert calls == [0, 0]
+
+
+def test_constant_coefficients_take_the_closed_form():
+    spec = _two_field_constant_spec()
+    t, dt, n, seed, x0 = 1.5, 1.0 / 256, 1000, 41, 0.25  # n_steps * dt == t exactly
+    batch = lx.euler_maruyama(spec, t, dt, n, seed, x0=x0)
+    eta = simulate._noise_block(seed, 1, 0, (n,))
+    assert np.array_equal(batch.y_final, -0.2 * t + 1.5 * math.sqrt(t) * eta)
+    xi = simulate._noise_block(seed, 0, 0, (2, n))
+    x_closed = x0 + 0.3 * t + math.sqrt(t) * (2.0 * xi[0] - 0.5 * xi[1])
+    dx = np.abs((batch.x_final - x_closed + 0.5) % 1.0 - 0.5)
+    assert np.max(dx) < 1e-12
+    assert batch.x_final.min() >= 0.0 and batch.x_final.max() < 1.0
+
+
+def test_constant_coefficient_observable_moments():
+    t, n = 4.0, 200_000
+    y = lx.euler_maruyama(_two_field_constant_spec(), t, 1e-2, n, seed=12).y_final
+    var = 1.5**2 * t
+    assert abs(np.mean(y) - (-0.2 * t)) < 5 * math.sqrt(var / n)
+    assert abs(np.var(y, ddof=1) - var) < 5 * var * math.sqrt(2.0 / (n - 1))
+
+
+def test_zero_horizon_keeps_the_start():
+    batch = lx.euler_maruyama(_two_field_constant_spec(), 0.0, 1e-2, 5, seed=2, x0=0.25)
+    assert batch.x_final.tolist() == [0.25] * 5
+    assert batch.y_final.tolist() == [0.0] * 5
+
+
 def _reference_paths(spec, t, dt, x_init, seed):
     """Per-step Euler through the fields' own __call__, for V = 1 constant:
     the loop the table-driven stepper replaces."""
