@@ -132,8 +132,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
     _check_keys(cfg["conditions"], _COND_KEYS, "conditions")
     _check_keys(cfg["expand"], _EXPAND_KEYS, "expand")
     tol = config_number(cfg["tol"], "tol")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not 0.0 < tol < 1.0:  # NaN and infinities fail the comparison too
+        raise ConfigError(f"tol must be finite and in (0, 1), got {cfg['tol']!r}")
     theta_max = config_number(cfg["theta_max"], "theta_max")
     if theta_max <= 0:
         raise ConfigError("theta_max must be positive")

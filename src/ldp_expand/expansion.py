@@ -6,13 +6,18 @@ transform along the vertical saddle line Re z = theta_a:
     P(S_t >= a t) = (1/2 pi) int  E[e^{(theta+is) S_t}]
                                   e^{-(theta+is) a t} / (theta + i s)  ds,
 
-evaluated in log-domain (growth factored out through mu(theta)), with the
-trapezoid step halved and the truncation span doubled until the value is
-stable to the requested relative tolerance.  Lattice-valued chains replace
-the 1/(theta+is) factor by the lattice summation kernel and integrate one
-period.  Higher coefficients come from a weighted least-squares fit of the
-normalized tail against the basis t^{-(k+1/2)}; the leading coefficient has
-an independent closed form from the spectral data.
+evaluated in log-domain (growth factored out through mu(theta)) by the
+trapezoid rule.  The first step comes from the strip of analyticity of the
+Gaussian saddle of width w = 1/sqrt(t mu''): the largest power of two whose
+aliasing error there is below rel_tol/100, about w at long horizons.  Then
+the step is halved and the truncation span doubled until the value is stable
+to the requested relative tolerance; where the pole of 1/(theta+is) lies
+closer than the Gaussian's best strip, the halving finds the finer step.
+Powers of two nest the lattices of all rounds and horizons.  Lattice-valued
+chains replace the 1/(theta+is) factor by the lattice summation kernel and
+integrate one period.  Higher coefficients come from a weighted least-squares
+fit of the normalized tail against the basis t^{-(k+1/2)}; the leading
+coefficient has an independent closed form from the spectral data.
 """
 from __future__ import annotations
 
@@ -179,11 +184,20 @@ def _check_time(ops, t) -> float | int:
     return float(t)
 
 
+def _check_tolerance(rel_tol):
+    # NaN and infinities fail the comparison too
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+
+
 def exact_tail(spec: ModelSpec, frame: EvaluationFrame, a: float, t: float, *,
                n: int | None = None, rel_tol: float = DEFAULT_REL_TOL,
                max_rounds: int = MAX_ROUNDS) -> float:
     """P(S_t >= a t) by saddle-line transform inversion, certified by step
-    halving and span doubling until the change is below ``rel_tol``."""
+    halving and span doubling until the change is below ``rel_tol``, which
+    must lie in (0, 1).  The first step is the largest power of two whose
+    trapezoid error on the Gaussian saddle is below rel_tol/100."""
+    _check_tolerance(rel_tol)
     rp = rate_point(spec, a, n=n)
     ops = operators_for(spec, n)
     t = _check_time(ops, t)
@@ -195,6 +209,7 @@ def tail_curve(spec: ModelSpec, frame: EvaluationFrame, a: float, t_list, *,
                n: int | None = None, rel_tol: float = DEFAULT_REL_TOL,
                max_rounds: int = MAX_ROUNDS) -> TailCurve:
     """Normalized tail over a time grid (transform data shared across times)."""
+    _check_tolerance(rel_tol)
     rp = rate_point(spec, a, n=n)
     ops = operators_for(spec, n)
     ts, probs, normalized = [], [], []
@@ -224,14 +239,39 @@ class _IndicatorKernel:
         return 1.0 / complex(self.theta, s)
 
 
+def _trapezoid_step(width: float, rel_tol: float) -> float:
+    """Largest power-of-two trapezoid step whose error on the Gaussian saddle
+    of width w = ``width`` is below rel_tol / 100 of the value.
+
+    The Gaussian is entire and grows by e^{d^2/2w^2} off the line, so in the
+    strip |Im s| < d the trapezoid error relative to the value is about
+    2 e^{d^2/2w^2 - 2 pi d/h}  (Trefethen & Weideman, SIAM Rev. 56 (2014)),
+    least at d = 2 pi w^2/h where it is 2 e^{-2 pi^2 w^2/h^2}.  That gives
+    h = pi w sqrt(2/L) with L = ln(200/rel_tol), about w at rel_tol 1e-6.
+    The pole of 1/(theta+is) cuts the strip at d = theta; where that binds
+    (theta < w sqrt(2L): short horizons, levels near the mean) the halving
+    rounds reach the finer step.  Powers of two nest the lattices of all
+    rounds and horizons, so a start coarser than needed costs no transform
+    evaluation."""
+    log_target = np.log(200.0 / rel_tol)
+    return float(2.0 ** np.floor(np.log2(np.pi * width * np.sqrt(2.0 / log_target))))
+
+
 def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) -> float:
     """(1/2 pi) int N(s) e^{-i s a t} kernel(s) ds with N the normalized
-    transform; returns e^{I t} times the target expectation."""
+    transform; returns e^{I t} times the target expectation.
+
+    The trapezoid rule starts at ``_trapezoid_step`` and is halved until two
+    rounds agree to rel_tol, the span doubling within each round until the
+    last node is below rel_tol/1000 of the largest.  Where the Gaussian sets
+    the step, the first round already meets rel_tol/100 and the second
+    confirms it.  Every round truncates at the last node of its lattice that
+    does not pass the span, so coarser lattices nest in finer ones."""
     theta, a = rp.theta, rp.a
     mu_theta = ops.mu(theta)
     mu2 = 1.0 / rp.curvature
     width = 1.0 / np.sqrt(max(float(t) * mu2, 1e-12))
-    h = float(2.0 ** np.floor(np.log2(width / 6.0)))
+    h = _trapezoid_step(width, rel_tol)
     S = 8.0 * width
 
     # one-eigenpair continuation is ~10x cheaper per tilt than the full
@@ -268,7 +308,7 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) 
         peak = abs(F(0.0) / kernel(0.0))
 
     def quadrature(h: float, S: float) -> tuple[float, float, float]:
-        ks = range(int(np.ceil(S / h)) + 1)
+        ks = range(int(S / h) + 1)
         vals = [F(k * h) for k in ks]
         total = (h / (2.0 * np.pi)) * (vals[0].real + 2.0 * sum(v.real for v in vals[1:]))
         mags = [abs(v) for v in vals]
@@ -431,6 +471,7 @@ def weak_expectation(spec: ModelSpec, frame: EvaluationFrame, f: TestFunction,
                      max_rounds: int = MAX_ROUNDS) -> float:
     """e^{I(a) t} E[f(S_t - a t)] by the saddle-line inversion with the
     window transform replacing the indicator kernel."""
+    _check_tolerance(rel_tol)
     if f.amplitude == 0.0:
         return 0.0
     rp = rate_point(spec, a, n=n)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("config error:")
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", [float("nan"), "nan", float("inf"), 0, -1e-6, 1.0],
+                         ids=["NaN", "nan-string", "Infinity", "zero", "negative", "one"])
+def test_tol_outside_unit_interval_is_a_config_error(tmp_path, capsys, tol):
+    path = write_config(tmp_path, {**BASE, "tol": tol})
+    start = time.perf_counter()
+    assert cli.main(["expand", "--config", str(path), "--force"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "tol" in err
 
 
 def test_integral_float_config_values_are_accepted():

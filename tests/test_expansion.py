@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -52,8 +54,10 @@ def test_mgf_chain_is_cosh_power(pm1_chain, frame):
 # -- exact tails --------------------------------------------------------------
 
 def test_gaussian_tail_matches_normal_sf(gaussian, frame):
-    p = lx.exact_tail(gaussian, frame, 1.0, 16.0, n=64)
-    assert abs(p - norm.sf(4.0)) / norm.sf(4.0) < 1e-6
+    for a in (0.2, 0.4, 0.6, 0.8, 1.0):
+        for t in (16.0, 32.0, 64.0, 128.0):
+            exact = norm.sf(a * np.sqrt(t))
+            assert abs(lx.exact_tail(gaussian, frame, a, t, n=64) - exact) <= 5e-11 * exact, (a, t)
 
 
 def test_tail_rejects_nonpositive_time(gaussian, frame):
@@ -326,3 +330,93 @@ def test_short_horizons_fail_with_a_hint(mathieu, frame):
     from ldp_expand.cli import DEFAULTS
     with pytest.raises(FitError, match=r"t in \[16, 128\].*longer horizons.*--t-min/--t-max"):
         lx.extract_coefficients(mathieu, frame, 0.3, DEFAULTS["t_grid"], order=4, n=256)
+
+
+# -- trapezoid step from the strip of analyticity ------------------------------
+
+def _count_transform_evals(monkeypatch) -> list:
+    """Record every transform evaluation (single-mode, Krylov or dense) of a
+    diffusion workspace."""
+    from ldp_expand import discretize
+    calls = []
+    for name in ("nmgf_top", "nmgf_krylov", "nmgf"):
+        real = getattr(discretize.DiffusionOperators, name)
+        monkeypatch.setattr(discretize.DiffusionOperators, name,
+                            lambda self, *args, real=real, **kwargs:
+                            calls.append(1) or real(self, *args, **kwargs))
+    return calls
+
+
+# cold evaluations of Mathieu n = 128 at (a, t) under the start step
+# 2^floor(log2(w/6)) where the pole at theta limits the step: short horizons,
+# and a level near the mean (theta_0.05 = 0.047)
+W6_START_EVALS = {(0.3, 0.2): 563, (0.3, 0.5): 358, (0.3, 1.0): 258,
+                  (0.3, 2.0): 185, (0.3, 5.0): 119,
+                  (0.05, 1.0): 1008, (0.05, 16.0): 258}
+
+
+def test_long_horizon_tails_take_few_transform_evaluations(mathieu, frame, monkeypatch):
+    calls = _count_transform_evals(monkeypatch)
+    # a start at w/6 took 191 and 107 evaluations at t = 30 and 400
+    caps = {**W6_START_EVALS, (0.3, 30.0): 60, (0.3, 400.0): 40}
+    for (a, t), cap in caps.items():
+        lx.clear_caches()
+        calls.clear()
+        lx.exact_tail(mathieu, frame, a, t, n=128)
+        assert len(calls) <= cap, (a, t)
+
+
+# Mathieu n = 256, a = 0.3, cold exact_tail at t = 30 followed by tail_curve at
+# t = 50 * 2^(k/2), k = 0..6, at the default rel_tol with the start at w/6
+W6_START_TAILS = [
+    (30.0, 0.0554511623632438),
+    (50.0, 0.01957327707023111),
+    (50 * 2**0.5, 0.007038061382168953),
+    (100.0, 0.0017395143307901853),
+    (100 * 2**0.5, 0.0002540539959877798),
+    (200.0, 1.7698074373509002e-05),
+    (200 * 2**0.5, 4.3418473730209157e-07),
+    (400.0, 2.4413083260814295e-09),
+]
+
+
+def test_larger_step_keeps_mathieu_tails_on_the_reference(mathieu, frame):
+    """Each value is off a rel_tol = 1e-11 reference by no more than the
+    value with the start at w/6 is, plus 1e-11 and the eigenvalue
+    resolution."""
+    ts = [t for t, _ in W6_START_TAILS[1:]]
+    lx.clear_caches()
+    probs = [lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256),
+             *lx.tail_curve(mathieu, frame, 0.3, ts, n=256).prob]
+    lx.clear_caches()
+    refs = [lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256, rel_tol=1e-11),
+            *lx.tail_curve(mathieu, frame, 0.3, ts, n=256, rel_tol=1e-11).prob]
+    for (t, w6), p, ref in zip(W6_START_TAILS, probs, refs):
+        # the continued top eigenvalue is resolved to about 1e-13, which a
+        # single-mode node carries as t * 1e-13 relative; fewer nodes average
+        # less of that out
+        slack = (1e-11 + 1e-13 * t) * ref
+        assert abs(p - ref) <= abs(w6 - ref) + slack, t
+
+
+@pytest.mark.parametrize("t", [1.0, 30.0])
+def test_oversized_start_step_converges_by_halving(mathieu, frame, monkeypatch, t):
+    from ldp_expand import expansion
+    lx.clear_caches()
+    p = lx.exact_tail(mathieu, frame, 0.3, t, n=128)
+    monkeypatch.setattr(expansion, "_trapezoid_step", lambda width, rel_tol: 8.0 * width)
+    lx.clear_caches()
+    assert abs(lx.exact_tail(mathieu, frame, 0.3, t, n=128) - p) <= 1e-6 * p
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-6, float("nan"), float("inf"), 1.0, 2.0])
+def test_invalid_tolerance_is_rejected_before_quadrature(gaussian, frame, rel_tol):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="rel_tol"):
+        lx.exact_tail(gaussian, frame, 1.0, 16.0, n=64, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        lx.tail_curve(gaussian, frame, 1.0, [16.0, 32.0], n=64, rel_tol=rel_tol)
+    with pytest.raises(ValueError, match="rel_tol"):
+        lx.weak_expectation(gaussian, frame, lx.gaussian_window(), 1.0, 16.0, n=64,
+                            rel_tol=rel_tol)
+    assert time.perf_counter() - start < 1.0
