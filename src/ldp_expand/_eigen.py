@@ -30,6 +30,8 @@ def quiet_singular():
 
 # Relative threshold below which the top pair counts as degenerate.
 GAP_RTOL = 1e-8
+# Two-sided Rayleigh-quotient steps before ``rqi_pair`` gives up.
+RQI_MAX_ITER = 8
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,12 @@ class EigenData:
     gap: float
     residual: float
     weight: float
-    spectrum: np.ndarray
 
 
 def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
-                   positive: bool = False, polish: bool = True,
-                   gap_rtol: float = GAP_RTOL) -> EigenData:
-    """Compute the dominant eigenpair of a dense matrix.
+                   positive: bool = False) -> EigenData:
+    """Compute the dominant eigenpair of a dense matrix, polished by
+    ``_polish_pair``; a gap below GAP_RTOL (relative) is degenerate.
 
     Parameters
     ----------
@@ -76,10 +77,9 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
     g = vr[:, top].copy()
     psi = vl[:, top].conj().copy()
 
-    if polish:
-        value, g, psi = _polish_pair(M, value, g, psi)
+    value, g, psi = _polish_pair(M, value, g, psi)
 
-    if gap < gap_rtol * max(1.0, abs(value)):
+    if gap < GAP_RTOL * max(1.0, abs(value)):
         w_sorted = w[np.argsort(-key)]
         raise DegenerateSpectrumError(
             f"near-degenerate top pair: {w_sorted[0]:.12g} vs {w_sorted[1]:.12g} (gap {gap:.3e})")
@@ -98,7 +98,7 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
 
     residual = float(np.max(np.abs(M @ g - value * g)))
     return EigenData(value=value, g=g, psi=psi, gap=gap, residual=residual,
-                     weight=weight, spectrum=w)
+                     weight=weight)
 
 
 class _DenseSolver:
@@ -190,7 +190,7 @@ def spectrum(M: np.ndarray) -> np.ndarray:
     return sla.eigvals(np.asarray(M))
 
 
-def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float, max_iter: int = 8):
+def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float):
     """Two-sided Rayleigh-quotient iteration for one eigen pair, warm-started
     from (g0, psi0).
 
@@ -209,7 +209,7 @@ def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float, max_iter: int 
     value = (psi @ op.matvec(g)) / denom
     target = max(1e-12, 32 * np.finfo(float).eps * op.scale)
     converged = False
-    for it in range(max_iter):
+    for it in range(RQI_MAX_ITER):
         # the seed always takes one step: a seed from a nearby operator can
         # pass the residual test while its vectors keep a first-order error
         if (it and np.max(np.abs(op.matvec(g) - value * g)) < target

@@ -135,8 +135,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not 0.0 < tol < 1.0:  # NaN and infinities fail the comparison too
         raise ConfigError(f"tol must be finite and in (0, 1), got {cfg['tol']!r}")
     theta_max = config_number(cfg["theta_max"], "theta_max")
-    if theta_max <= 0:
-        raise ConfigError("theta_max must be positive")
+    if not 0.0 < theta_max < np.inf:  # NaN fails the comparison too
+        raise ConfigError(f"theta_max must be finite and positive, got {cfg['theta_max']!r}")
     report = validate_spec(spec, n=min(grid_n, 512))
     if not report.ok:
         raise ConfigError("model fails validation: " + "; ".join(report.violations))

@@ -576,9 +576,7 @@ class DiffusionOperators:
         if pair is None:
             return None
         value, g, psi = pair
-        i0 = frame.index_on(self.grid.n)
-        v = frame.vector_on(self.grid.n)
-        c = g[i0] * np.sum(psi * v) * self.weight
+        c = frame.ell_pi_v(g, psi, self.weight)
         ts = np.asarray(ts, dtype=float)
         return np.array([c * np.exp((value - mu_ref) * t) for t in ts])
 

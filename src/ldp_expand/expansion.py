@@ -1,23 +1,22 @@
 """Tail expansion machinery.
 
-The normalized tail e^{I(a) t} P(S_t >= a t) is computed by quadrature of the
-transform along the vertical saddle line Re z = theta_a:
+Every expectation is inverted by one driver, ``_saddle_integral``, along the
+saddle line Re z = theta_a with a weight function of z = theta + is:
 
-    P(S_t >= a t) = (1/2 pi) int  E[e^{(theta+is) S_t}]
-                                  e^{-(theta+is) a t} / (theta + i s)  ds,
+    e^{I t} E[h(S_t - a t)] = (1/2 pi) int N(z) e^{-is a t} weight(z) ds,
 
-evaluated in log-domain (growth factored out through mu(theta)) by the
-trapezoid rule.  The first step comes from the strip of analyticity of the
-Gaussian saddle of width w = 1/sqrt(t mu''): the largest power of two whose
-aliasing error there is below rel_tol/100, about w at long horizons.  Then
-the step is halved and the truncation span doubled until the value is stable
-to the requested relative tolerance; where the pole of 1/(theta+is) lies
-closer than the Gaussian's best strip, the halving finds the finer step.
-Powers of two nest the lattices of all rounds and horizons.  Lattice-valued
-chains replace the 1/(theta+is) factor by the lattice summation kernel and
-integrate one period.  Higher coefficients come from a weighted least-squares
-fit of the normalized tail against the basis t^{-(k+1/2)}; the leading
-coefficient has an independent closed form from the spectral data.
+N the transform E[e^{z S_t}] with its growth e^{t mu(theta)} factored out.
+The weight is 1/z for the tail P(S_t >= a t) (``tail_curve``; ``exact_tail``
+at one horizon) and f.laplace for a window (``weak_expectation``).  The
+trapezoid step starts at the largest power of two whose aliasing error on
+the Gaussian saddle of width w = 1/sqrt(t mu'') is below rel_tol/100, then is
+halved (the span doubling) until two rounds agree to rel_tol; where the pole
+of 1/z binds, the halving finds the finer step, and a level so near the mean
+slope that MAX_ROUNDS rounds cannot reach it is refused before any node.
+Lattice-valued chains replace 1/z by the lattice summation kernel over one
+period, doubling the point count per round; both inversions share one round
+loop, ``_settle``.  Higher coefficients come from a weighted least-squares
+fit against t^{-(k+1/2)}; the leading one also has a closed form.
 """
 from __future__ import annotations
 
@@ -184,59 +183,43 @@ def _check_time(ops, t) -> float | int:
     return float(t)
 
 
-def _check_tolerance(rel_tol):
-    # NaN and infinities fail the comparison too
-    if not 0.0 < rel_tol < 1.0:
+def _inversion_setup(spec: ModelSpec, a: float, t_list, n, rel_tol):
+    """The set-up every saddle-line inversion shares: the tolerance check,
+    the rate point of level a, the workspace and the checked horizons."""
+    if not 0.0 < rel_tol < 1.0:  # NaN and infinities fail the comparison too
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
+    rp = rate_point(spec, a, n=n)
+    ops = operators_for(spec, n)
+    return rp, ops, [_check_time(ops, t) for t in t_list]
 
 
 def exact_tail(spec: ModelSpec, frame: EvaluationFrame, a: float, t: float, *,
-               n: int | None = None, rel_tol: float = DEFAULT_REL_TOL,
-               max_rounds: int = MAX_ROUNDS) -> float:
-    """P(S_t >= a t) by saddle-line transform inversion, certified by step
-    halving and span doubling until the change is below ``rel_tol``, which
-    must lie in (0, 1).  The first step is the largest power of two whose
-    trapezoid error on the Gaussian saddle is below rel_tol/100."""
-    _check_tolerance(rel_tol)
-    rp = rate_point(spec, a, n=n)
-    ops = operators_for(spec, n)
-    t = _check_time(ops, t)
-    normalized = _normalized_tail(ops, frame, rp, t, rel_tol, max_rounds)
-    return float(normalized * np.exp(-rp.rate * t))
+               n: int | None = None, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """P(S_t >= a t): ``tail_curve`` at the one horizon t."""
+    return tail_curve(spec, frame, a, (t,), n=n, rel_tol=rel_tol).prob[0]
 
 
 def tail_curve(spec: ModelSpec, frame: EvaluationFrame, a: float, t_list, *,
-               n: int | None = None, rel_tol: float = DEFAULT_REL_TOL,
-               max_rounds: int = MAX_ROUNDS) -> TailCurve:
-    """Normalized tail over a time grid (transform data shared across times)."""
-    _check_tolerance(rel_tol)
-    rp = rate_point(spec, a, n=n)
-    ops = operators_for(spec, n)
-    ts, probs, normalized = [], [], []
-    for t in t_list:
-        t = _check_time(ops, t)
-        q = _normalized_tail(ops, frame, rp, t, rel_tol, max_rounds)
-        ts.append(float(t))
-        normalized.append(q)
-        probs.append(q * float(np.exp(-rp.rate * t)))
-    return TailCurve(a=float(a), t=tuple(ts), prob=tuple(probs), normalized=tuple(normalized))
+               n: int | None = None, rel_tol: float = DEFAULT_REL_TOL) -> TailCurve:
+    """P(S_t >= a t) and its normalized value over a time grid by saddle-line
+    inversion with weight 1/z, stable to ``rel_tol`` in (0, 1); transform
+    data are shared across times."""
+    rp, ops, ts = _inversion_setup(spec, a, t_list, n, rel_tol)
+    lattice = ops.is_chain and ops.lattice() is not None
+    if not lattice:
+        for t in ts:
+            _check_pole_reachable(rp, t, rel_tol)
+    normalized = [_lattice_tail(ops, frame, rp, t, rel_tol) if lattice
+                  else _saddle_integral(ops, frame, rp, t, lambda z: 1.0 / z, rel_tol)
+                  for t in ts]
+    probs = [q * float(np.exp(-rp.rate * t)) for q, t in zip(normalized, ts)]
+    return TailCurve(a=float(a), t=tuple(float(t) for t in ts), prob=tuple(probs),
+                     normalized=tuple(normalized))
 
 
-def _normalized_tail(ops, frame, rp: RatePoint, t, rel_tol, max_rounds) -> float:
-    if ops.is_chain and ops.lattice() is not None:
-        return _lattice_tail(ops, frame, rp, int(t), rel_tol, max_rounds)
-    kernel = _IndicatorKernel(rp.theta)
-    return _saddle_integral(ops, frame, rp, t, kernel, rel_tol, max_rounds)
-
-
-class _IndicatorKernel:
-    """Transform of the tail indicator along the saddle line: 1/(theta+is)."""
-
-    def __init__(self, theta: float):
-        self.theta = theta
-
-    def __call__(self, s: float) -> complex:
-        return 1.0 / complex(self.theta, s)
+def _saddle_width(rp: RatePoint, t) -> float:
+    """Width 1/sqrt(t mu'') of the Gaussian saddle of the normalized transform."""
+    return 1.0 / np.sqrt(max(float(t) * (1.0 / rp.curvature), 1e-12))
 
 
 def _trapezoid_step(width: float, rel_tol: float) -> float:
@@ -257,22 +240,51 @@ def _trapezoid_step(width: float, rel_tol: float) -> float:
     return float(2.0 ** np.floor(np.log2(np.pi * width * np.sqrt(2.0 / log_target))))
 
 
-def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) -> float:
-    """(1/2 pi) int N(s) e^{-i s a t} kernel(s) ds with N the normalized
-    transform; returns e^{I t} times the target expectation.
+def _check_pole_reachable(rp: RatePoint, t, rel_tol):
+    """Refuse a level whose pole the halving cannot reach.  The pole of
+    1/(theta+is) leaves a trapezoid error of about e^{-2 pi theta/h}, so the
+    step must come down to about 2 pi theta / ln(200/rel_tol); near the mean
+    slope that is below the finest step MAX_ROUNDS rounds reach."""
+    needed = 2.0 * np.pi * rp.theta / np.log(200.0 / rel_tol)
+    finest = _trapezoid_step(_saddle_width(rp, t), rel_tol) * 2.0 ** (1 - MAX_ROUNDS)
+    if needed < finest:
+        raise ConvergenceError(
+            f"theta_a={rp.theta:.3g} is too close to the mean slope: the pole of 1/z needs "
+            f"a trapezoid step near {needed:.3g}, below the finest step {finest:.3g} that "
+            f"{MAX_ROUNDS} rounds reach at t={t:g}")
+
+
+def _settle(estimates, rel_tol, what: str) -> float:
+    """The round loop of both inversions: the first of ``estimates`` (one per
+    round, each finer than the last) that agrees with its predecessor to
+    rel_tol, which must be positive.  ConvergenceError after MAX_ROUNDS."""
+    prev = None
+    for _, value in zip(range(MAX_ROUNDS), estimates):
+        if prev is not None and abs(value - prev) <= rel_tol * max(abs(value), 1e-300):
+            if value <= 0.0:
+                raise ConvergenceError(f"{what} produced a nonpositive value {value:.3e}")
+            return float(value)
+        prev = value
+    raise ConvergenceError(
+        f"{what} did not stabilize to {rel_tol:g} in {MAX_ROUNDS} rounds; "
+        "inspect decay_profile for this model")
+
+
+def _saddle_integral(ops, frame, rp: RatePoint, t, weight, rel_tol) -> float:
+    """(1/2 pi) int N(s) e^{-i s a t} weight(theta + i s) ds with N the
+    normalized transform; returns e^{I t} times the target expectation: the
+    tail for weight 1/z, E f(S_t - a t) for the window transform f.laplace.
 
     The trapezoid rule starts at ``_trapezoid_step`` and is halved until two
-    rounds agree to rel_tol, the span doubling within each round until the
-    last node is below rel_tol/1000 of the largest.  Where the Gaussian sets
-    the step, the first round already meets rel_tol/100 and the second
-    confirms it.  Every round truncates at the last node of its lattice that
-    does not pass the span, so coarser lattices nest in finer ones."""
+    rounds agree to rel_tol (``_settle``), the span doubling within each
+    round until the last node is below rel_tol/1000 of the largest.  Where
+    the Gaussian sets the step, the first round already meets rel_tol/100
+    and the second confirms it.  Every round truncates at the last node of
+    its lattice that does not pass the span, so coarser lattices nest in
+    finer ones."""
     theta, a = rp.theta, rp.a
     mu_theta = ops.mu(theta)
-    mu2 = 1.0 / rp.curvature
-    width = 1.0 / np.sqrt(max(float(t) * mu2, 1e-12))
-    h = _trapezoid_step(width, rel_tol)
-    S = 8.0 * width
+    width = _saddle_width(rp, t)
 
     # one-eigenpair continuation is ~10x cheaper per tilt than the full
     # decomposition; certify its remainder against the full transform first
@@ -284,8 +296,7 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) 
     peak = 0.0
     cache: dict[float, complex] = {}
 
-    def normalized(s: float) -> complex:
-        z = complex(theta, s)
+    def normalized(z: complex) -> complex:
         if use_top:
             top = ops.nmgf_top(z, (t,), frame, mu_theta)
             if top is not None:
@@ -300,12 +311,13 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) 
     def F(s: float) -> complex:
         val = cache.get(s)
         if val is None:
-            val = normalized(s) * np.exp(-1j * s * a * t) * kernel(s)
+            z = complex(theta, s)
+            val = normalized(z) * np.exp(-1j * s * a * t) * weight(z)
             cache[s] = val
         return val
 
     if krylov:
-        peak = abs(F(0.0) / kernel(0.0))
+        peak = abs(F(0.0) / weight(complex(theta, 0.0)))
 
     def quadrature(h: float, S: float) -> tuple[float, float, float]:
         ks = range(int(S / h) + 1)
@@ -314,31 +326,27 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, kernel, rel_tol, max_rounds) 
         mags = [abs(v) for v in vals]
         return total, max(mags), mags[-1]
 
-    prev = None
-    for _ in range(max_rounds):
-        for _ in range(48):
-            Q, fmax, fboundary = quadrature(h, S)
-            if fboundary <= 1e-3 * rel_tol * fmax or S > 1e6:
-                break
-            S *= 2.0
-        if S > 1e6:
-            raise ConvergenceError(
-                "saddle-line integrand does not decay; inspect decay_profile for this model")
-        if prev is not None and abs(Q - prev) <= rel_tol * max(abs(Q), 1e-300):
-            if Q <= 0.0:
-                raise ConvergenceError(f"inversion produced a nonpositive value {Q:.3e}")
-            return float(Q)
-        prev = Q
-        h *= 0.5
-    raise ConvergenceError(
-        f"saddle-line inversion did not stabilize to {rel_tol:g} in {max_rounds} rounds; "
-        "inspect decay_profile for this model")
+    def rounds():
+        h, S = _trapezoid_step(width, rel_tol), 8.0 * width
+        while True:
+            for _ in range(48):
+                Q, fmax, fboundary = quadrature(h, S)
+                if fboundary <= 1e-3 * rel_tol * fmax or S > 1e6:
+                    break
+                S *= 2.0
+            if S > 1e6:
+                raise ConvergenceError(
+                    "saddle-line integrand does not decay; inspect decay_profile for this model")
+            yield Q
+            h *= 0.5
+
+    return _settle(rounds(), rel_tol, "saddle-line inversion")
 
 
-def _lattice_tail(ops, frame, rp: RatePoint, n_steps: int, rel_tol, max_rounds) -> float:
+def _lattice_tail(ops, frame, rp: RatePoint, n_steps: int, rel_tol) -> float:
     """One-period inversion for lattice-valued chains: the indicator transform
     is the lattice sum e^{-z m*}/(1 - e^{-z span});  the target level is the
-    smallest lattice point >= a n."""
+    smallest lattice point >= a n.  Each round doubles the point count."""
     span, base = ops.lattice()
     theta, a = rp.theta, rp.a
     mu_theta = ops.mu(theta)
@@ -359,19 +367,14 @@ def _lattice_tail(ops, frame, rp: RatePoint, n_steps: int, rel_tol, max_rounds) 
             cache[s] = val
         return val
 
-    m = 64
-    prev = None
-    for _ in range(max_rounds):
-        step = period / m
-        Q = float(np.mean([F(-np.pi / span + k * step).real for k in range(m)]))
-        if prev is not None and abs(Q - prev) <= rel_tol * max(abs(Q), 1e-300):
-            value = pref * Q
-            if value <= 0.0:
-                raise ConvergenceError(f"lattice inversion produced {value:.3e}")
-            return value
-        prev = Q
-        m *= 2
-    raise ConvergenceError(f"lattice inversion did not stabilize to {rel_tol:g}")
+    def rounds():
+        m = 64
+        while True:
+            step = period / m
+            yield float(np.mean([F(-np.pi / span + k * step).real for k in range(m)]))
+            m *= 2
+
+    return pref * _settle(rounds(), rel_tol, "lattice inversion")
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +396,19 @@ def leading_coefficient(spec: ModelSpec, frame: EvaluationFrame, a: float, *,
             "coefficient diverges as a approaches the mean slope", stacklevel=2)
     ops = operators_for(spec, n)
     _, g, psi = ops.perron(rp.theta)
-    i0 = frame.index_on(g.size)
-    v = frame.vector_on(g.size)
-    ell_pi_v = float(g[i0] * np.sum(psi * v) * ops.weight)
-    _warn_if_nonreversible(ops, g, psi, i0, v, ell_pi_v)
+    ell_pi_v = float(frame.ell_pi_v(g, psi, ops.weight))
+    _warn_if_nonreversible(ops, frame, g, psi, ell_pi_v)
     return ell_pi_v * np.sqrt(rp.curvature) / (rp.theta * np.sqrt(2.0 * np.pi))
 
 
-def _warn_if_nonreversible(ops, g, psi, i0, v, ell_pi_v):
+def _warn_if_nonreversible(ops, frame, g, psi, ell_pi_v):
     """The reversible-case shortcut g(x0) int g presumes psi proportional to
     g; flag models where that reading would disagree."""
     denom = float(np.sum(g * g) * ops.weight)
     psi_selfadjoint = g / denom
     rel = float(np.max(np.abs(psi_selfadjoint - psi)) / max(np.max(np.abs(psi)), 1e-300))
     if rel > 1e-6:
-        alt = float(g[i0] * np.sum(psi_selfadjoint * v) * ops.weight)
+        alt = float(frame.ell_pi_v(g, psi_selfadjoint, ops.weight))
         warnings.warn(
             "non-self-adjoint tilted operator: ell(Pi v) uses the left eigenvector "
             f"({ell_pi_v:.9g}); the reversible-case shortcut would give {alt:.9g}",
@@ -467,27 +468,11 @@ def extract_coefficients(spec: ModelSpec, frame: EvaluationFrame, a: float,
 
 def weak_expectation(spec: ModelSpec, frame: EvaluationFrame, f: TestFunction,
                      a: float, t: float, *, n: int | None = None,
-                     rel_tol: float = DEFAULT_REL_TOL,
-                     max_rounds: int = MAX_ROUNDS) -> float:
+                     rel_tol: float = DEFAULT_REL_TOL) -> float:
     """e^{I(a) t} E[f(S_t - a t)] by the saddle-line inversion with the
-    window transform replacing the indicator kernel."""
-    _check_tolerance(rel_tol)
+    window transform f.laplace as the weight."""
+    rp, ops, (t,) = _inversion_setup(spec, a, (t,), n, rel_tol)
     if f.amplitude == 0.0:
         return 0.0
-    rp = rate_point(spec, a, n=n)
     f.require_admissible(rp.theta)
-    ops = operators_for(spec, n)
-    t = _check_time(ops, t)
-    kernel = _WindowKernel(rp.theta, f)
-    return _saddle_integral(ops, frame, rp, t, kernel, rel_tol, max_rounds)
-
-
-class _WindowKernel:
-    """Two-sided Laplace transform of the window along the saddle line."""
-
-    def __init__(self, theta: float, f: TestFunction):
-        self.theta = theta
-        self.f = f
-
-    def __call__(self, s: float) -> complex:
-        return self.f.laplace(complex(self.theta, s))
+    return _saddle_integral(ops, frame, rp, t, f.laplace, rel_tol)

@@ -94,10 +94,7 @@ class TabulatedField:
         return _periodic_interp(np.asarray(x, dtype=float), self._table())
 
     def derivative(self, x):
-        tab = self._table()
-        n = self.n
-        dtab = (np.roll(tab, -1) - np.roll(tab, 1)) * (0.5 * n)
-        return _periodic_interp(np.asarray(x, dtype=float), dtab)
+        return _periodic_interp(np.asarray(x, dtype=float), periodic_slope(self._table()))
 
     @property
     def max_harmonic(self) -> int:
@@ -117,6 +114,12 @@ class TabulatedField:
 
 
 Field = FourierField | TabulatedField
+
+
+def periodic_slope(u: np.ndarray) -> np.ndarray:
+    """Periodic central difference (u_{i+1} - u_{i-1}) n / 2 of the values
+    u_i at x_i = i / n on the unit torus."""
+    return (np.roll(u, -1) - np.roll(u, 1)) * (0.5 * u.size)
 
 
 def _periodic_interp(x, table):

@@ -126,6 +126,12 @@ class EvaluationFrame:
     def cache_key(self) -> tuple:
         return (self.x0, self.v)
 
+    def ell_pi_v(self, g: np.ndarray, psi: np.ndarray, weight: float):
+        """ell(Pi v) = g(x0) <psi, v> weight for the spectral projector
+        Pi = g psi^T weight of a right/left pair with pairing one."""
+        n = g.size
+        return g[self.index_on(n)] * np.sum(psi * self.vector_on(n)) * weight
+
 
 @dataclass(frozen=True)
 class ValidationReport:

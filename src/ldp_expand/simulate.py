@@ -21,7 +21,7 @@ import numpy as np
 from ._parallel import prefetched
 from .discretize import operators_for
 from .errors import DegenerateSpectrumError, SampleSizeError
-from .fields import FourierField, TabulatedField, _periodic_interp
+from .fields import FourierField, TabulatedField, _periodic_interp, periodic_slope
 from .model import EvaluationFrame, TorusDiffusionSpec
 from .rate import rate_point
 from .spectral import effective_diffusivity_core, solve_corrector
@@ -292,8 +292,7 @@ def tilted_dynamics(spec: TorusDiffusionSpec, theta: float, *,
     _, g, _ = ops.perron(theta)
     if np.min(g) <= 0.0:
         raise DegenerateSpectrumError("tilted eigenfunction is not positive; spectral failure upstream")
-    m = g.size
-    dlng = (np.roll(np.log(g), -1) - np.roll(np.log(g), 1)) * (0.5 * m)
+    dlng = periodic_slope(np.log(g))
     extra = ops.vv * dlng
     # eigensolver noise floor: drift this small is dynamically irrelevant
     if np.max(np.abs(extra)) < 1e-10:
@@ -391,8 +390,7 @@ def decorrelation_check(spec: TorusDiffusionSpec, theta: float, t_list,
     _, g, psi = ops.perron(theta)
     if np.min(g) <= 0.0:
         raise DegenerateSpectrumError("tilted eigenfunction is not positive")
-    m = g.size
-    dlng = (np.roll(np.log(g), -1) - np.roll(np.log(g), 1)) * (0.5 * m)
+    dlng = periodic_slope(np.log(g))
     pi = psi * g * ops.weight
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()

@@ -19,12 +19,15 @@ import scipy.linalg as sla
 from ._eigen import spectrum, top_eigen_data
 from .discretize import GeneratorMatrix, lattice_span, operators_for
 from .errors import ConvergenceError, SolvabilityError
+from .fields import periodic_slope
 from .model import ModelSpec
 
 # step of the finite-difference cross-check of mu' and mu'', one Richardson level
 FD_STEP = 1e-3
 # exact derivatives and their cross-checks must agree this tightly
 CROSSCHECK_RTOL = 5e-3
+# smallest per-step norm decay 1 - max ratio that certifies the decay condition
+DECAY_EPS_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -236,8 +239,7 @@ def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, fl
     f, c_theta, residual = solve_corrector(ops, theta)
     _, g, psi = ops.perron(float(theta))
     pi = psi * g * ops.weight
-    n = f.size
-    fprime = (np.roll(f, -1) - np.roll(f, 1)) * (0.5 * n)
+    fprime = periodic_slope(f)
     xi = float(np.sum((ops.vv * fprime**2 + ops.sigma2) * pi))
     return xi, f, c_theta, residual
 
@@ -354,12 +356,7 @@ def _chain_steps(t: float) -> int:
     return steps
 
 
-def _time_op_normalized(ops, z: complex, t: float, mu_ref: float) -> np.ndarray:
-    """exp(t (G(z) - mu_ref)) for diffusions; (T(z) e^{-mu_ref})^t for chains."""
-    return _semigroup(ops, z, (t,), mu_ref)[float(t)]
-
-
-def _fit_decay(samples, eps_floor: float = 1e-9):
+def _fit_decay(samples):
     svals = sorted({abs(s) for s, _, _ in samples})
     for K in svals:
         rates = [r ** (1.0 / max(1, int(np.floor(t))))
@@ -367,7 +364,7 @@ def _fit_decay(samples, eps_floor: float = 1e-9):
         if not rates:
             continue
         eps = 1.0 - max(rates)
-        if eps > eps_floor:
+        if eps > DECAY_EPS_FLOOR:
             return K, eps
     return (svals[-1] if svals else 0.0), None
 

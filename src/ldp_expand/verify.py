@@ -402,10 +402,7 @@ def _check_d3(spec, ops, thetas, frame, n) -> ConditionVerdict:
     for th in thetas:
         try:
             ed = ops.eigendata(th)
-            size = ed.g.size
-            val = float(ed.g[frame.index_on(size)]
-                        * np.sum(ed.psi * frame.vector_on(size)) * ops.weight)
-            positivity[th] = val
+            positivity[th] = float(frame.ell_pi_v(ed.g, ed.psi, ops.weight))
         except DegenerateSpectrumError as exc:
             positivity[th] = None
             ok = False

@@ -1,9 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import ldp_expand as lx
 from ldp_expand.model import EvaluationFrame
+
+# CLI subprocesses import the same checkout as the test process
+_SRC = str(Path(lx.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile(
     "ci", max_examples=25, deadline=None,

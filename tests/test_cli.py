@@ -98,9 +98,13 @@ MALFORMED = [
     ({"model": {"kind": "torus_diffusion", "observable": {
         "sigma": {"type": "fourier", "cos": 0.5}}}}, "model.observable.sigma.cos"),
 ]
+MALFORMED_CASES = [pytest.param(payload, key, id=key) for payload, key in MALFORMED] + [
+    pytest.param({"theta_max": value}, "theta_max", id=f"theta_max-{name}")
+    for value, name in ((float("nan"), "NaN"), ("nan", "nan-string"),
+                        (float("inf"), "Infinity"), (0, "zero"), (-1, "negative"))]
 
 
-@pytest.mark.parametrize("payload, key", MALFORMED, ids=[key for _, key in MALFORMED])
+@pytest.mark.parametrize("payload, key", MALFORMED_CASES)
 def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys, payload, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text("{not json")

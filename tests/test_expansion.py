@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 import ldp_expand as lx
 from ldp_expand.errors import (AdmissibilityError, AdmissibleRangeError,
-                               FitError, SemigroupOverflowError)
+                               ConvergenceError, FitError, SemigroupOverflowError)
 from ldp_expand.expansion import TailCurve
 
 SQRT_2PI = np.sqrt(2 * np.pi)
@@ -419,4 +419,42 @@ def test_invalid_tolerance_is_rejected_before_quadrature(gaussian, frame, rel_to
     with pytest.raises(ValueError, match="rel_tol"):
         lx.weak_expectation(gaussian, frame, lx.gaussian_window(), 1.0, 16.0, n=64,
                             rel_tol=rel_tol)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("model, a, t, n", [
+    ("mathieu", 0.3, 30.0, 256), ("mathieu", 0.3, 0.5, 128),
+    ("gaussian", 0.7, 64.0, 64), ("pm1_chain", 0.6, 20, None)])
+def test_exact_tail_is_tail_curve_at_one_horizon(request, frame, model, a, t, n):
+    spec = request.getfixturevalue(model)
+    lx.clear_caches()
+    p = lx.exact_tail(spec, frame, a, t, n=n)
+    lx.clear_caches()
+    assert p == lx.tail_curve(spec, frame, a, [t], n=n).prob[0]
+
+
+@pytest.mark.parametrize("model, a, t, n, what", [
+    ("gaussian", 1.0, 16.0, 64, "saddle-line inversion"),
+    ("pm1_chain", 0.6, 10, None, "lattice inversion")])
+def test_inversion_that_does_not_settle_in_max_rounds_raises(
+        request, frame, monkeypatch, model, a, t, n, what):
+    from ldp_expand import expansion
+    spec = request.getfixturevalue(model)
+    monkeypatch.setattr(expansion, "MAX_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match=f"{what} did not stabilize"):
+        lx.exact_tail(spec, frame, a, t, n=n)
+
+
+def test_level_at_the_mean_slope_is_refused_at_once(mathieu, frame):
+    """At a = 0 theta_a rounds to about 1e-15: the pole of 1/z sits on the
+    saddle line, and no number of halvings reaches it.  A window has no pole
+    there, so its expectation is still computed."""
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="theta_a=1.09e-15.*step near.*finest step"):
+        lx.exact_tail(mathieu, frame, 0.0, 16.0, n=128)
+    with pytest.raises(ConvergenceError, match="mean slope"):
+        lx.exact_tail(mathieu, frame, 1e-4, 1.0, n=128)
+    with pytest.raises(ConvergenceError, match="mean slope"):
+        lx.tail_curve(mathieu, frame, 0.0, [1.0, 16.0], n=128)
+    assert lx.weak_expectation(mathieu, frame, lx.gaussian_window(), 0.0, 16.0, n=128) > 0.0
     assert time.perf_counter() - start < 1.0

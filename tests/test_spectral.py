@@ -137,7 +137,7 @@ def test_decay_profile_gaussian_exact(gaussian):
 
 def test_decay_ratio_at_s0_is_one(gaussian):
     ops = operators_for(gaussian, 64)
-    M = sp._time_op_normalized(ops, 1.0, 2.0, ops.mu(1.0))
+    M = sp._semigroup(ops, 1.0, (2.0,), ops.mu(1.0))[2.0]
     assert abs(np.max(np.sum(np.abs(M), axis=1)) - 1.0) < 1e-10
 
 
