@@ -14,9 +14,11 @@ halved (the span doubling) until two rounds agree to rel_tol; where the pole
 of 1/z binds, the halving finds the finer step, and a level so near the mean
 slope that MAX_ROUNDS rounds cannot reach it is refused before any node.
 Lattice-valued chains replace 1/z by the lattice summation kernel over one
-period, doubling the point count per round; both inversions share one round
-loop, ``_settle``.  Higher coefficients come from a weighted least-squares
-fit against t^{-(k+1/2)}; the leading one also has a closed form.
+period, doubling the point count per round, and refuse in the same way a
+level whose kernel pole needs more points than the last round has; both
+inversions share one round loop, ``_settle``.  Higher coefficients come from
+a weighted least-squares fit against t^{-(k+1/2)}; the leading one also has
+a closed form.
 """
 from __future__ import annotations
 
@@ -33,6 +35,8 @@ from .rate import RatePoint, rate_point
 
 DEFAULT_REL_TOL = 1e-6
 MAX_ROUNDS = 14
+# points per period in the first round of the lattice inversion
+LATTICE_POINTS = 64
 FIT_CONDITION_CAP = 1e8
 # warn when theta_a is close enough to 0 that the 1/theta_a prefactor blows up
 BOUNDARY_THETA = 0.05
@@ -206,7 +210,9 @@ def tail_curve(spec: ModelSpec, frame: EvaluationFrame, a: float, t_list, *,
     data are shared across times."""
     rp, ops, ts = _inversion_setup(spec, a, t_list, n, rel_tol)
     lattice = ops.is_chain and ops.lattice() is not None
-    if not lattice:
+    if lattice:
+        _check_lattice_pole_reachable(rp, ops.lattice()[0], rel_tol)
+    else:
         for t in ts:
             _check_pole_reachable(rp, t, rel_tol)
     normalized = [_lattice_tail(ops, frame, rp, t, rel_tol) if lattice
@@ -252,6 +258,21 @@ def _check_pole_reachable(rp: RatePoint, t, rel_tol):
             f"theta_a={rp.theta:.3g} is too close to the mean slope: the pole of 1/z needs "
             f"a trapezoid step near {needed:.3g}, below the finest step {finest:.3g} that "
             f"{MAX_ROUNDS} rounds reach at t={t:g}")
+
+
+def _check_lattice_pole_reachable(rp: RatePoint, span: float, rel_tol):
+    """The lattice counterpart of ``_check_pole_reachable``.  The kernel
+    1/(1 - e^{-z span}) has its pole at distance theta from the line, so the
+    m-point trapezoid over the period 2 pi / span errs by about
+    e^{-m theta span} and needs m near ln(200/rel_tol) / (theta span); refuse
+    a level that needs more points than the last of MAX_ROUNDS rounds has."""
+    log_target = np.log(200.0 / rel_tol)
+    finest = LATTICE_POINTS * 2 ** (MAX_ROUNDS - 1)
+    if not rp.theta * span * finest >= log_target:
+        raise ConvergenceError(
+            f"theta_a={rp.theta:.3g} is too close to the mean slope: the pole of the "
+            f"lattice kernel needs about {log_target / (rp.theta * span):.3g} points per "
+            f"period, more than the {finest} that {MAX_ROUNDS} rounds reach")
 
 
 def _settle(estimates, rel_tol, what: str) -> float:
@@ -368,7 +389,7 @@ def _lattice_tail(ops, frame, rp: RatePoint, n_steps: int, rel_tol) -> float:
         return val
 
     def rounds():
-        m = 64
+        m = LATTICE_POINTS
         while True:
             step = period / m
             yield float(np.mean([F(-np.pi / span + k * step).real for k in range(m)]))

@@ -458,3 +458,19 @@ def test_level_at_the_mean_slope_is_refused_at_once(mathieu, frame):
         lx.tail_curve(mathieu, frame, 0.0, [1.0, 16.0], n=128)
     assert lx.weak_expectation(mathieu, frame, lx.gaussian_window(), 0.0, 16.0, n=128) > 0.0
     assert time.perf_counter() - start < 1.0
+
+
+def test_lattice_level_at_the_mean_slope_is_refused_at_once(pm1_chain, frame):
+    """On the +-1 walk the lattice kernel's pole at z = 0 sits theta_a from
+    the line: a = 1e-5 needs about 9.6e5 points per period, more than the
+    last round's 64 * 2^13, and is refused before any transform; a = 1e-4
+    is within reach and keeps its value."""
+    from ldp_expand import expansion
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="theta_a=1e-05.*lattice kernel.*524288"):
+        lx.exact_tail(pm1_chain, frame, 1e-5, 10)
+    assert time.perf_counter() - start < 1.0
+    expansion._check_lattice_pole_reachable(lx.rate_point(pm1_chain, 1e-4), 2.0,
+                                            expansion.DEFAULT_REL_TOL)
+    # 386 / 1024 to rounding, the value the inversion gave before the check
+    assert lx.exact_tail(pm1_chain, frame, 0.05, 10) == 0.37695312499999983

@@ -5,10 +5,10 @@ from scipy.special import comb
 from scipy.stats import norm
 
 import ldp_expand as lx
-from ldp_expand import verify
+from ldp_expand import fields, verify
 from ldp_expand.discretize import DiffusionOperators, operators_for
 from ldp_expand.errors import ModelValidationError
-from ldp_expand.model import DiscreteChainSpec
+from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
 
 
 def test_single_step_base_case(pm1_chain):
@@ -117,6 +117,8 @@ def test_suite_checkerboard_fails_b3_reported(gaussian):
     b3 = rep.verdict("B3")
     assert not b3.passed
     assert b3.evidence["min_margin"] < 1e-8
+    # chains are measured densely by design: nothing certified, nothing counted
+    assert b3.evidence["certified_lower_bounds"] == b3.evidence["dense_fallbacks"] == 0
 
 
 def test_suite_empty_theta_grid(gaussian):
@@ -330,8 +332,12 @@ def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, 
         eigs.append(np.count_nonzero(a))
         return real_eig(a, *args, **kwargs)
 
+    eigvals, real_eigvals = [], scipy.linalg.eigvals
     monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
     monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+    monkeypatch.setattr(scipy.linalg, "eigvals",
+                        lambda a, *args, **kwargs: eigvals.append(a.shape)
+                        or real_eigvals(a, *args, **kwargs))
     thetas, svals = [0.0, 0.5, 1.0], [0.1, 1.0, 5.0, 20.0, 50.0]
     n = 96
     rep = lx.run_condition_suite(mathieu, thetas, svals, [1.0, 1.5, 2.0], n=n)
@@ -342,6 +348,9 @@ def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, 
     assert sum(dt == np.float64 for dt in expms) == len(thetas)
     # the only dense eigensolves are of banded generators, one per real centre
     assert len(eigs) == len(thetas) and all(nnz <= 3 * n for nnz in eigs)
+    # B3 is certified from those centres' pairs, with no dense spectrum
+    assert eigvals == []
+    assert rep.verdict("B3").evidence["dense_fallbacks"] == 0
     assert rep.verdict("D2").evidence["dense_fallbacks"] == 0
 
 
@@ -384,3 +393,105 @@ def test_projector_refuses_power_steps_that_leave_a_residual(mathieu, monkeypatc
     for th in thetas:
         want = _dense_projector_from(ops, th, t_list)
         assert abs(verdict.evidence["residuals"][th] - want) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# B3 certified from the Perron pair, with dense fallbacks.
+
+B3_THETAS, B3_SVALS = [0.0, 0.5, 1.0], [0.1, 1.0, 5.0, 20.0, 50.0]
+
+
+def _variable_model():
+    """Variable V, V0 and sigma: the pi-weighting, not symmetry, carries the
+    certificate."""
+    return TorusDiffusionSpec(
+        fields_v=(fields.harmonic("cos", 1, amplitude=0.3).shifted(1.0),),
+        drift_v0=fields.harmonic("sin", 1, amplitude=0.8),
+        obs_drift_b=fields.harmonic("cos", 1),
+        obs_noise_sigma=fields.harmonic("sin", 2, amplitude=0.4).shifted(1.0))
+
+
+def _zero_offdiagonal_model():
+    """V = 1 and V0 = 8 at n = 8: the stencil's lower off-diagonal is
+    0.5 / dx^2 - V0 / (2 dx) = 0 exactly (a negative one is refused when the
+    stencil is built), so the twisted kernel is not certified."""
+    return TorusDiffusionSpec(fields_v=(fields.constant(1.0),), drift_v0=fields.constant(8.0),
+                              obs_drift_b=fields.harmonic("cos", 1),
+                              obs_noise_sigma=fields.constant(1.0))
+
+
+def _dense_b3(ops, thetas, svals):
+    """The all-dense margins, one ``b3_margins`` sweep per theta."""
+    from ldp_expand.spectral import b3_margins
+    return {(th, s): m for th in thetas for s, m in b3_margins(ops, th, svals)}
+
+
+@pytest.mark.parametrize("model, n", [
+    ("mathieu", 256), ("gradient_drift", 128), ("variable", 128), ("gaussian", 64)])
+def test_b3_certificate_is_a_lower_bound_of_the_dense_margin(request, model, n):
+    spec = _variable_model() if model == "variable" else request.getfixturevalue(model)
+    ops = operators_for(spec, n)
+    verdict = verify._check_b3_suite(ops, B3_THETAS, B3_SVALS)
+    dense = _dense_b3(ops, B3_THETAS, B3_SVALS)
+    ev = verdict.evidence
+    assert ev["dense_fallbacks"] == 0
+    assert ev["certified_lower_bounds"] == len(B3_THETAS) * len(B3_SVALS)
+    assert list(ev["margins"]) == list(dense)
+    c = 0.5 * float(np.min(ops.sigma2))
+    for key, margin in ev["margins"].items():
+        assert margin == c * key[1] * key[1]
+        assert margin <= dense[key] + 1e-10, (key, margin, dense[key])
+    assert verdict.passed and min(dense.values()) > 1e-8
+    if model == "gaussian":
+        assert c == 0.5  # sigma^2 = 1: the certificate is the exact margin s^2 / 2
+
+
+@pytest.mark.parametrize("case", ["zero_offdiagonal", "unpositive_pair"])
+def test_b3_falls_back_to_dense_margins(mathieu, monkeypatch, case):
+    if case == "zero_offdiagonal":
+        spec, n = _zero_offdiagonal_model(), 8
+        ops = operators_for(spec, n)
+        assert np.min(ops.stencil.lo) == 0.0
+        verdict = lx.run_condition_suite(spec, B3_THETAS, B3_SVALS, [1.0, 1.5, 2.0],
+                                         n=n).verdict("B3")
+    else:
+        ops = DiffusionOperators(mathieu, 64)
+        # the cached real-tilt pair with one right-vector entry at zero
+        _patch_seed(monkeypatch, ops, lambda ed: {"g": np.where(np.arange(ed.g.size) == 3,
+                                                                 0.0, ed.g)})
+        verdict = verify._check_b3_suite(ops, B3_THETAS, B3_SVALS)
+    dense = _dense_b3(ops, B3_THETAS, B3_SVALS)
+    ev = verdict.evidence
+    assert ev["dense_fallbacks"] == len(B3_THETAS) * len(B3_SVALS)
+    assert ev["certified_lower_bounds"] == 0
+    assert ev["margins"] == dense and list(ev["margins"]) == list(dense)
+    assert ev["min_margin"] == min(dense.values())
+    assert verdict.passed == (min(dense.values()) > 1e-8)
+
+
+def test_b3_bound_below_the_floor_falls_back_per_point(mathieu):
+    # s = 1e-4 certifies only 5e-9, below the 1e-8 floor; s = 1 is certified
+    ops = DiffusionOperators(mathieu, 64)
+    verdict = verify._check_b3_suite(ops, [0.5], [1e-4, 1.0])
+    ev = verdict.evidence
+    assert ev["dense_fallbacks"] == 1 and ev["certified_lower_bounds"] == 1
+    assert ev["margins"][(0.5, 1e-4)] == _dense_b3(ops, [0.5], [1e-4])[(0.5, 1e-4)]
+    assert ev["margins"][(0.5, 1.0)] == 0.5
+
+
+@pytest.mark.parametrize("model", ["mathieu", "zero_offdiagonal", "checkerboard"])
+def test_condition_report_is_identical_under_one_and_two_threads(request, monkeypatch, model):
+    grids = (B3_THETAS, B3_SVALS, [1.0, 1.5, 2.0])
+    if model == "mathieu":
+        spec, n, args = request.getfixturevalue("mathieu"), 64, grids
+    elif model == "zero_offdiagonal":
+        spec, n, args = _zero_offdiagonal_model(), 8, grids
+    else:
+        spec, n, args = lx.checkerboard_chain(), None, ([0.2, 0.5, 1.0], [0.5, np.pi], [1, 2])
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LDP_EXPAND_THREADS", threads)
+        lx.clear_caches()
+        reports.append(lx.run_condition_suite(spec, *args, n=n))
+    assert reports[0] == reports[1]
+    assert repr(reports[0]) == repr(reports[1])
