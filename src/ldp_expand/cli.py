@@ -130,6 +130,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         grid_n = model_grid_n
     _check_keys(cfg["simulate"], _SIM_KEYS, "simulate")
     _check_keys(cfg["conditions"], _COND_KEYS, "conditions")
+    conditions = _condition_grids(cfg["conditions"])
     _check_keys(cfg["expand"], _EXPAND_KEYS, "expand")
     tol = config_number(cfg["tol"], "tol")
     if not 0.0 < tol < 1.0:  # NaN and infinities fail the comparison too
@@ -147,7 +148,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         theta_grid=_grid(cfg["theta_grid"], "theta_grid"),
         a_grid=_grid(cfg["a_grid"], "a_grid"),
         t_grid=_grid(cfg["t_grid"], "t_grid"),
-        simulate=cfg["simulate"], conditions=cfg["conditions"], expand=cfg["expand"],
+        simulate=cfg["simulate"], conditions=conditions, expand=cfg["expand"],
         raw=cfg)
 
 
@@ -176,6 +177,19 @@ def _grid(obj, key: str) -> tuple[float, ...]:
     if isinstance(obj, (list, tuple)):
         return config_numbers(obj, key)
     raise ConfigError(f"{key} must be a list or a min/max/steps object")
+
+
+def _condition_grids(obj: dict) -> dict:
+    """The condition suite's s and t grids: finite numbers, with a nonzero s."""
+    grids = {}
+    for key in ("s_grid", "t_grid"):
+        grid = _grid(obj[key], f"conditions.{key}")
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError(f"conditions.{key} entries must be finite, got {obj[key]!r}")
+        grids[key] = grid
+    if not any(grids["s_grid"]):
+        raise ConfigError(f"conditions.s_grid needs a nonzero entry, got {obj['s_grid']!r}")
+    return grids
 
 
 def _check_keys(obj, allowed: set, where: str):

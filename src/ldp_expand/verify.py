@@ -17,9 +17,9 @@ from ._parallel import parallel_map
 from .discretize import lattice_span, operators_for
 from .errors import ConvergenceError, DegenerateSpectrumError, ModelValidationError
 from .model import DiscreteChainSpec, EvaluationFrame, ModelSpec
-from .spectral import (b3_certificate, b3_margins, convexity_profile, decay_profile,
+from .spectral import (b3_certificate, b3_margins, convexity_profile,
                        second_divided_differences, spectral_envelope,
-                       _gap_mu_scale, _rowsum_norm, _semigroup)
+                       _certified_decay, _gap_mu_scale, _rowsum_norm, _semigroup)
 
 MAX_ORACLE_STEPS = 60
 MAX_ORACLE_CELLS = 1_000_000
@@ -242,12 +242,16 @@ def run_condition_suite(spec: ModelSpec, theta_grid, s_grid, t_grid, *,
                         n: int | None = None, frame: EvaluationFrame | None = None,
                         label: str = "") -> ConditionReport:
     """Aggregate numeric checks of the spectral conditions; failures are
-    verdicts, never exceptions."""
+    verdicts, never exceptions.  An s grid with no nonzero finite entry, or
+    a non-finite s or t, is a ValueError before any work."""
+    svals = [float(s) for s in s_grid if s != 0]
+    tvals = [float(t) for t in t_grid]
+    if not svals or not np.all(np.isfinite(svals + tvals)):
+        raise ValueError("the condition suite needs finite s and t grids with a nonzero s, "
+                         f"got nonzero s {svals!r} and t {tvals!r}")
     thetas = [float(t) for t in theta_grid]
     if not thetas:
         return ConditionReport(model=label or spec.kind, verdicts=())
-    svals = [float(s) for s in s_grid if s != 0]
-    tvals = [float(t) for t in t_grid]
     ops = operators_for(spec, n)
     frame = frame or EvaluationFrame()
     verdicts = [
@@ -371,18 +375,22 @@ def _check_b3_suite(ops, thetas, svals) -> ConditionVerdict:
 
 
 def _check_decay(spec, thetas, svals, tvals, n) -> ConditionVerdict:
-    s_decay = [s for s in svals if abs(s) >= 1.0] or svals
-    t_decay = [t for t in tvals if 1.0 <= t <= 4.0] or [1.0, 2.0]
+    """D1-2, certified: per-step norm decay 1 - epsilon of the complex-tilted
+    semigroup for |s| >= K, one ``_certified_decay`` per theta.
+    ``decay_profile`` measures the same (K, epsilon) with every s dense."""
+    s_decay = [float(s) for s in svals if abs(s) >= 1.0] or [float(s) for s in svals]
+    t_decay = [float(t) for t in tvals if 1.0 <= t <= 4.0] or [1.0, 2.0]
+    ops = operators_for(spec, n)
     evidence = {}
     ok = True
     note = ""
     for th in thetas:
         try:
-            prof = decay_profile(spec, th, s_decay, t_decay, n=n)
-            evidence[th] = {"K": prof.K, "epsilon": prof.epsilon,
-                            "decay_rate": -np.log1p(-prof.epsilon)}
+            K, eps, certified = _certified_decay(ops, th, s_decay, t_decay)
+            evidence[th] = {"K": K, "epsilon": eps, "decay_rate": -np.log1p(-eps),
+                            "certified_s": certified}
         except (ConvergenceError, DegenerateSpectrumError) as exc:
-            evidence[th] = {"K": None, "epsilon": None}
+            evidence[th] = {"K": None, "epsilon": None, "certified_s": 0}
             ok = False
             note = str(exc)
     return ConditionVerdict("D1-2", ok, evidence, note=note)

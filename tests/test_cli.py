@@ -98,10 +98,19 @@ MALFORMED = [
     ({"model": {"kind": "torus_diffusion", "observable": {
         "sigma": {"type": "fourier", "cos": 0.5}}}}, "model.observable.sigma.cos"),
 ]
+CONDITION_GRID_CASES = [
+    pytest.param({"conditions": {key: value}}, f"conditions.{key}", id=f"conditions.{key}-{name}")
+    for key, value, name in (("s_grid", 5, "number"), ("s_grid", ["abc"], "word"),
+                             ("s_grid", [float("nan")], "NaN"), ("s_grid", [0.0], "zero"),
+                             ("s_grid", [], "empty"),
+                             ("s_grid", {"min": 0.0, "max": float("nan"), "steps": 3}, "NaN-max"),
+                             ("t_grid", 5, "number"), ("t_grid", ["abc"], "word"),
+                             ("t_grid", [float("inf")], "Infinity"))]
 MALFORMED_CASES = [pytest.param(payload, key, id=key) for payload, key in MALFORMED] + [
     pytest.param({"theta_max": value}, "theta_max", id=f"theta_max-{name}")
     for value, name in ((float("nan"), "NaN"), ("nan", "nan-string"),
-                        (float("inf"), "Infinity"), (0, "zero"), (-1, "negative"))]
+                        (float("inf"), "Infinity"), (0, "zero"), (-1, "negative"))
+] + CONDITION_GRID_CASES
 
 
 @pytest.mark.parametrize("payload, key", MALFORMED_CASES)
@@ -114,6 +123,28 @@ def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("config error:")
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload, key", CONDITION_GRID_CASES)
+def test_malformed_condition_grid_stops_verify_conditions_at_once(tmp_path, capsys,
+                                                                   payload, key):
+    path = write_config(tmp_path, {**BASE, **payload, "output_dir": str(tmp_path / "out")})
+    start = time.perf_counter()
+    assert cli.main(["verify-conditions", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+
+
+def test_condition_grids_accept_the_grid_object_form(tmp_path, capsys):
+    payload = {**BASE, "output_dir": str(tmp_path / "out"), "conditions": {
+        "s_grid": {"min": 1.0, "max": 5.0, "steps": 3},
+        "t_grid": {"min": 1.0, "max": 2.0, "steps": 3}}}
+    cfg = cli.parse_config_dict(payload)
+    assert cfg.conditions == {"s_grid": (1.0, 3.0, 5.0), "t_grid": (1.0, 1.5, 2.0)}
+    assert cli.main(["verify-conditions", "--config", str(write_config(tmp_path, payload))]) == 0
+    assert (tmp_path / "out" / "conditions.csv").exists()
 
 
 @pytest.mark.parametrize("tol", [float("nan"), "nan", float("inf"), 0, -1e-6, 1.0],

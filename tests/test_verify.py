@@ -5,7 +5,7 @@ from scipy.special import comb
 from scipy.stats import norm
 
 import ldp_expand as lx
-from ldp_expand import fields, verify
+from ldp_expand import fields, spectral, verify
 from ldp_expand.discretize import DiffusionOperators, operators_for
 from ldp_expand.errors import ModelValidationError
 from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
@@ -342,8 +342,9 @@ def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, 
     n = 96
     rep = lx.run_condition_suite(mathieu, thetas, svals, [1.0, 1.5, 2.0], n=n)
     assert rep.passed
-    s_decay = [s for s in svals if s >= 1.0]
-    assert len(expms) == len(thetas) * len(s_decay) + len(thetas)
+    # D1-2 takes only the smallest |s| densely and certifies the others
+    assert len(expms) == 2 * len(thetas)
+    assert all(rep.verdict("D1-2").evidence[th]["certified_s"] == 3 for th in thetas)
     # the projector's exponentials are taken at real tilts in real arithmetic
     assert sum(dt == np.float64 for dt in expms) == len(thetas)
     # the only dense eigensolves are of banded generators, one per real centre
@@ -495,3 +496,103 @@ def test_condition_report_is_identical_under_one_and_two_threads(request, monkey
         reports.append(lx.run_condition_suite(spec, *args, n=n))
     assert reports[0] == reports[1]
     assert repr(reports[0]) == repr(reports[1])
+
+
+# ---------------------------------------------------------------------------
+# D1-2 certified by the l-infinity log-norm bound, with dense fallbacks.
+
+D12_THETAS, D12_SVALS, D12_TVALS = [0.0, 0.5, 1.0], [1.0, 5.0, 20.0, 50.0], [1.0, 1.5, 2.0]
+D12_MODELS = [("mathieu", 128), ("mathieu", 256), ("gaussian", 64),
+              ("gradient_drift", 128), ("variable", 128)]
+
+
+def _d12_spec(request, model):
+    return _variable_model() if model == "variable" else request.getfixturevalue(model)
+
+
+def _dense_d12(spec, thetas, s_decay, t_decay, n):
+    """The all-dense reference: one ``decay_profile`` per theta."""
+    out = {}
+    for th in thetas:
+        prof = spectral.decay_profile(spec, th, s_decay, t_decay, n=n)
+        out[th] = {"K": prof.K, "epsilon": prof.epsilon,
+                   "decay_rate": -np.log1p(-prof.epsilon)}
+    return out
+
+
+def _without_count(evidence):
+    return {th: {k: v for k, v in ev.items() if k != "certified_s"}
+            for th, ev in evidence.items()}
+
+
+@pytest.mark.parametrize("model, n", D12_MODELS)
+def test_semigroup_norm_bound_holds_on_dense_samples(request, model, n):
+    spec = _d12_spec(request, model)
+    ops = operators_for(spec, n)
+    for th in D12_THETAS:
+        for s, t, ratio in spectral.decay_profile(spec, th, D12_SVALS, D12_TVALS, n=n).samples:
+            kappa, rho = spectral.semigroup_norm_bound(ops, th, complex(th, s))
+            assert kappa >= 1.0
+            assert ratio <= kappa * np.exp(t * rho) * (1 + 1e-12), (th, s, t)
+
+
+@pytest.mark.parametrize("model, n", D12_MODELS)
+def test_certified_decay_matches_the_all_dense_fit_bit_for_bit(request, model, n):
+    spec = _d12_spec(request, model)
+    verdict = verify._check_decay(spec, D12_THETAS, [0.1] + D12_SVALS, D12_TVALS, n)
+    ref = _dense_d12(spec, D12_THETAS, D12_SVALS, D12_TVALS, n)
+    assert verdict.passed
+    assert repr(_without_count(verdict.evidence)) == repr(ref)
+    # s = 1 is sampled densely; 5, 20 and 50 are certified
+    assert all(ev["certified_s"] == 3 for ev in verdict.evidence.values())
+
+
+@pytest.mark.parametrize("bound", [(np.inf, np.inf), None], ids=["infinite", "refused"])
+def test_decay_without_a_usable_bound_samples_every_s(mathieu, monkeypatch, bound):
+    monkeypatch.setattr(spectral, "semigroup_norm_bound", lambda *args: bound)
+    verdict = verify._check_decay(mathieu, D12_THETAS, D12_SVALS, D12_TVALS, 128)
+    assert all(ev["certified_s"] == 0 for ev in verdict.evidence.values())
+    assert repr(_without_count(verdict.evidence)) == repr(
+        _dense_d12(mathieu, D12_THETAS, D12_SVALS, D12_TVALS, 128))
+
+
+def test_decay_takes_both_signs_of_the_smallest_s_densely(mathieu, monkeypatch):
+    sampled, real = [], spectral._decay_samples
+    monkeypatch.setattr(spectral, "_decay_samples", lambda ops, theta, s_list, t_list, mu:
+                        sampled.extend(s_list) or real(ops, theta, s_list, t_list, mu))
+    svals = [-1.0, 1.0, -5.0, 20.0]
+    verdict = verify._check_decay(mathieu, [0.5], svals, D12_TVALS, 128)
+    assert sorted(sampled) == [-1.0, 1.0]
+    assert verdict.evidence[0.5]["certified_s"] == 2
+    assert repr(_without_count(verdict.evidence)) == repr(
+        _dense_d12(mathieu, [0.5], svals, D12_TVALS, 128))
+
+
+def test_decay_samples_the_certified_s_when_a_dense_one_moves_the_fit(mathieu, monkeypatch):
+    # s = 5 is refused a bound and its samples are raised to ratio 1, which
+    # pushes the fit past K = 1 and 5; the certified s = 6 and 20 then decide it
+    svals = [1.0, 5.0, 6.0, 20.0]
+    bound, real = spectral.semigroup_norm_bound, spectral._decay_samples
+    monkeypatch.setattr(spectral, "semigroup_norm_bound",
+                        lambda ops, th, z: None if z.imag == 5.0 else bound(ops, th, z))
+    monkeypatch.setattr(spectral, "_decay_samples", lambda ops, theta, s_list, t_list, mu: [
+        (s, t, 1.0 if s == 5.0 else r) for s, t, r in real(ops, theta, s_list, t_list, mu)])
+    verdict = verify._check_decay(mathieu, [0.5], svals, D12_TVALS, 128)
+    ev = verdict.evidence[0.5]
+    ops = operators_for(mathieu, 128)
+    samples = spectral._decay_samples(ops, 0.5, svals, D12_TVALS, ops.mu(0.5))
+    assert (ev["K"], ev["epsilon"]) == spectral._fit_decay(samples)
+    assert ev["K"] == 6.0 and ev["certified_s"] == 0 and verdict.passed
+
+
+@pytest.mark.parametrize("s_grid, t_grid", [([0.0], [1.0]), ([], [1.0]), ([np.nan], [1.0]),
+                                             ([1.0], [np.inf])],
+                         ids=["zero", "empty", "nan-s", "infinite-t"])
+def test_suite_refuses_grids_without_a_usable_s_before_any_work(mathieu, monkeypatch,
+                                                                s_grid, t_grid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite started work")
+
+    monkeypatch.setattr(verify, "operators_for", no_work)
+    with pytest.raises(ValueError, match="nonzero s"):
+        lx.run_condition_suite(mathieu, [0.5], s_grid, t_grid, n=128)
