@@ -7,7 +7,10 @@ quotient so that cumulant curves are smooth to near machine precision.
 any operator with products from both sides and shifted solves (the banded
 tilted generators), and the dense polish reuses its step with an LU solver.
 ``krylov_expm_entry`` evaluates one entry of the full transform
-exp(t (M - shift)) v on the same operators.
+exp(t (M - shift)) v on the same operators.  ``spectrum`` gives the
+eigenvalues alone, and ``top_gap`` / ``refuse_degenerate`` the gap rule of
+``top_eigen_data``, to callers whose pair comes from elsewhere (the banded
+real-tilt centres of a diffusion).
 """
 from __future__ import annotations
 
@@ -68,21 +71,14 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
     """
     M = np.asarray(M)
     w, vl, vr = sla.eig(M, left=True, right=True)
-    key = w.real if sort == "real" else np.abs(w)
-    top = int(np.argmax(key))
-    rest = np.delete(key, top)
-    gap = float(key[top] - np.max(rest)) if rest.size else np.inf
+    top, gap = top_gap(w, sort)
 
     value = w[top]
     g = vr[:, top].copy()
     psi = vl[:, top].conj().copy()
 
     value, g, psi = _polish_pair(M, value, g, psi)
-
-    if gap < GAP_RTOL * max(1.0, abs(value)):
-        w_sorted = w[np.argsort(-key)]
-        raise DegenerateSpectrumError(
-            f"near-degenerate top pair: {w_sorted[0]:.12g} vs {w_sorted[1]:.12g} (gap {gap:.3e})")
+    refuse_degenerate(w, gap, value, sort)
 
     if positive:
         value, g, psi = _realize_positive(M, value, g, psi)
@@ -99,6 +95,25 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
     residual = float(np.max(np.abs(M @ g - value * g)))
     return EigenData(value=value, g=g, psi=psi, gap=gap, residual=residual,
                      weight=weight)
+
+
+def top_gap(w: np.ndarray, sort: str = "real") -> tuple[int, float]:
+    """(index of the top eigenvalue in the spectrum w, its distance to the
+    rest in the sort metric of ``top_eigen_data``)."""
+    key = w.real if sort == "real" else np.abs(w)
+    top = int(np.argmax(key))
+    rest = np.delete(key, top)
+    return top, float(key[top] - np.max(rest)) if rest.size else np.inf
+
+
+def refuse_degenerate(w: np.ndarray, gap: float, value, sort: str = "real") -> None:
+    """DegenerateSpectrumError when the top gap of the spectrum w is below
+    GAP_RTOL relative to the top value."""
+    if gap < GAP_RTOL * max(1.0, abs(value)):
+        key = w.real if sort == "real" else np.abs(w)
+        w_sorted = w[np.argsort(-key)]
+        raise DegenerateSpectrumError(
+            f"near-degenerate top pair: {w_sorted[0]:.12g} vs {w_sorted[1]:.12g} (gap {gap:.3e})")
 
 
 class _DenseSolver:
@@ -186,8 +201,14 @@ def _realize_positive(M, value, g, psi):
 
 
 def spectrum(M: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a dense matrix (no vectors)."""
-    return sla.eigvals(np.asarray(M))
+    """All eigenvalues of a dense matrix (no vectors).  An exactly Hermitian
+    matrix, such as a real tilt of a self-adjoint generator (V0 = 0), goes
+    to the Hermitian solver, which returns them real at a fraction of the
+    cost of the general Hessenberg QR."""
+    M = np.asarray(M)
+    if np.array_equal(M, M.conj().T):
+        return sla.eigvalsh(M)
+    return sla.eigvals(M)
 
 
 def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float):

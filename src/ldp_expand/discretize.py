@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._eigen import (EigenData, _DenseSolver, krylov_expm_entry, quiet_singular,
-                     rqi_pair, top_eigen_data)
+                     refuse_degenerate, rqi_pair, spectrum, top_eigen_data, top_gap)
 from .errors import (GridResolutionError, ModelValidationError,
                      SemigroupOverflowError)
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
@@ -294,8 +294,9 @@ def _stencil_null_density(op: CyclicTridiagonal) -> np.ndarray:
     uniform vector, where the solver's zero-denominator guard turns the exact
     singularity into a large multiple of the null vector.
 
-    Pinning the largest entry of that vector (adding op.scale to its
-    diagonal entry) leaves op^T invertible exactly when the null space is
+    Pinning the largest entry of that vector (subtracting op.scale from
+    its diagonal entry, which keeps -op^T an M-matrix, nonsingular once
+    pinned) leaves op^T invertible exactly when the null space is
     one-dimensional; the growth of inverse iteration on the pinned operator
     estimates its smallest eigenvalue modulus, which follows the second
     eigenvalue of op when the null space is numerically two-dimensional."""
@@ -308,7 +309,7 @@ def _stencil_null_density(op: CyclicTridiagonal) -> np.ndarray:
                 vec = solve(vec, trans=True)
                 vec = vec / np.max(np.abs(vec))
             pin = np.zeros(n)
-            pin[int(np.argmax(np.abs(vec)))] = op.scale
+            pin[int(np.argmax(np.abs(vec)))] = -op.scale
             pinned = op.shifted_diagonal(pin).shifted_solver(0.0)
             x = np.ones(n)
             for _ in range(2):
@@ -415,6 +416,8 @@ class DiffusionOperators:
         # cover, whose Krylov transform fell back to the dense nmgf
         self.certify_fallbacks = 0
         self.quadrature_fallbacks = 0
+        # real tilts whose Perron centre is the dense top_eigen_data
+        self.dense_centres: set[float] = set()
 
     # -- operators ---------------------------------------------------------
     def operator(self, z: complex) -> CyclicTridiagonal:
@@ -448,45 +451,66 @@ class DiffusionOperators:
 
     # -- spectra -----------------------------------------------------------
     def eigendata(self, z: complex) -> EigenData:
-        """Full top-eigen data of G(z); real tilts demand a positive pair."""
+        """Top-eigen data of G(z): the Perron centre of ``_centre`` at a real
+        tilt, the dense ``top_eigen_data`` at a complex one."""
         z = complex(z)
         if z.imag == 0.0:
             z = z.real
         if z not in self._eigen:
-            self._eigen[z] = top_eigen_data(self.tilted(z), weight=self.weight,
-                                            sort="real", positive=isinstance(z, float))
+            self._eigen[z] = (self._centre(z) if isinstance(z, float) else
+                              top_eigen_data(self.tilted(z), weight=self.weight, sort="real"))
         return self._eigen[z]
+
+    def _centre(self, theta: float) -> EigenData:
+        """Perron centre at a real tilt: (mu, g, psi) from the banded
+        continuation, the gap from the eigenvalues alone of the dense
+        G(theta).  The banded pair is kept when it lies on the top branch,
+        within half the gap of the dense top eigenvalue; otherwise the centre
+        is the dense ``top_eigen_data``, recorded in ``dense_centres``."""
+        w = spectrum(self.tilted(theta))
+        top, gap = top_gap(w)
+        refuse_degenerate(w, gap, w[top])
+        pair = self._mu_lite.get(theta) or self._ladder(theta)
+        if pair is None or not abs(pair[0] - w[top]) < 0.5 * gap:
+            return self._dense_centre(theta)
+        mu, g, psi = pair
+        residual = float(np.max(np.abs(self.operator(theta).matvec(g) - mu * g)))
+        return EigenData(value=mu, g=g, psi=psi, gap=gap, residual=residual, weight=self.weight)
+
+    def _dense_centre(self, theta: float) -> EigenData:
+        """The dense ``top_eigen_data`` at a real tilt, which also replaces
+        the continued pair there."""
+        ed = top_eigen_data(self.tilted(theta), weight=self.weight, sort="real", positive=True)
+        self.dense_centres.add(theta)
+        self._eigen[theta] = ed
+        self._mu_lite[theta] = (float(np.real(ed.value)), ed.g, ed.psi)
+        return ed
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(mu, g, psi) of the real tilt at theta: warm Rayleigh-quotient
         continuation on the tridiagonal operator along a theta ladder, dense
         eigensolve as fallback."""
         theta = float(theta)
-        hit = self._mu_lite.get(theta)
-        if hit is not None:
-            return hit
-        if theta in self._eigen:
-            ed = self._eigen[theta]
-            self._mu_lite[theta] = (float(np.real(ed.value)), ed.g, ed.psi)
-            return self._mu_lite[theta]
+        hit = self._mu_lite.get(theta) or self._ladder(theta)
+        if hit is None:
+            self._dense_centre(theta)
+            hit = self._mu_lite[theta]
+        return hit
+
+    def _ladder(self, theta: float):
+        """The pair at theta continued from the nearest cached tilt, in rungs
+        at most _WARM_RADIUS apart, each cached; None when a rung fails."""
         near_theta, seed = self._nearest_lite(theta)
-        while seed is not None and abs(near_theta - theta) > 1e-15:
+        while abs(near_theta - theta) > 1e-15:
             gap_th = theta - near_theta
-            step = np.sign(gap_th) * min(abs(gap_th), self._WARM_RADIUS)
-            rung = theta if abs(gap_th) <= self._WARM_RADIUS else near_theta + step
-            warm = self._rqi(rung, seed)
-            if warm is None:
-                seed = None
-                break
-            self._mu_lite[rung] = warm
-            near_theta, seed = rung, warm
-            if rung == theta:
-                return warm
-        if seed is not None:
-            return seed
-        ed = self.eigendata(theta)
-        self._mu_lite[theta] = (float(np.real(ed.value)), ed.g, ed.psi)
-        return self._mu_lite[theta]
+            rung = (theta if abs(gap_th) <= self._WARM_RADIUS
+                    else near_theta + np.sign(gap_th) * self._WARM_RADIUS)
+            seed = self._rqi(rung, seed)
+            if seed is None:
+                return None
+            self._mu_lite[rung] = seed
+            near_theta = rung
+        return seed
 
     def mu(self, theta: float) -> float:
         """log of the time-1 Perron eigenvalue, i.e. the rightmost eigenvalue

@@ -242,14 +242,18 @@ def run_condition_suite(spec: ModelSpec, theta_grid, s_grid, t_grid, *,
                         n: int | None = None, frame: EvaluationFrame | None = None,
                         label: str = "") -> ConditionReport:
     """Aggregate numeric checks of the spectral conditions; failures are
-    verdicts, never exceptions.  An s grid with no nonzero finite entry, or
-    a non-finite s or t, is a ValueError before any work."""
+    verdicts, never exceptions.  An s grid with no nonzero finite entry, a
+    non-finite s or t, or a theta grid with a repeated or non-finite value
+    is a ValueError before any work."""
     svals = [float(s) for s in s_grid if s != 0]
     tvals = [float(t) for t in t_grid]
     if not svals or not np.all(np.isfinite(svals + tvals)):
         raise ValueError("the condition suite needs finite s and t grids with a nonzero s, "
                          f"got nonzero s {svals!r} and t {tvals!r}")
     thetas = [float(t) for t in theta_grid]
+    if not np.all(np.isfinite(thetas)) or len(set(thetas)) < len(thetas):
+        raise ValueError("the condition suite needs a theta grid of distinct finite values, "
+                         f"got theta grid {thetas!r}")
     if not thetas:
         return ConditionReport(model=label or spec.kind, verdicts=())
     ops = operators_for(spec, n)
@@ -301,12 +305,13 @@ def _disc_values(ops, zs) -> tuple[np.ndarray, int]:
     """Top eigenvalues at the real centre zs[0] and on two rings of 8 points
     (inner ring first), with the number of off-centre points solved densely.
 
-    The centre is the cached dense solve.  On a diffusion each inner-ring
+    The centre is the cached ``eigendata``.  On a diffusion each inner-ring
     point continues the centre pair, and each outer-ring point the inner
     pair at its angle, by two-sided Rayleigh-quotient iteration on the
     banded G(z).  A pair is kept only when the iteration converged within
     half the centre gap of the centre value, i.e. on the top branch;
-    otherwise the point is solved densely, as are all points of a chain."""
+    otherwise the point is solved by the dense ``top_eigen_data``, as are all
+    points of a chain."""
     centre = ops.eigendata(zs[0])
     vals = [complex(centre.value)]
     if ops.is_chain:
@@ -318,7 +323,7 @@ def _disc_values(ops, zs) -> tuple[np.ndarray, int]:
         for k, z in enumerate(ring):
             pair = rqi_pair(ops.operator(z), *seeds[k], ops.weight)
             if pair is None or not abs(pair[0] - centre.value) < 0.5 * centre.gap:
-                ed = ops.eigendata(z)
+                ed = top_eigen_data(ops.tilted(z), weight=ops.weight, sort="real")
                 pair = (ed.value, ed.g, ed.psi)
                 dense += 1
             vals.append(complex(pair[0]))
@@ -327,6 +332,9 @@ def _disc_values(ops, zs) -> tuple[np.ndarray, int]:
 
 
 def _check_b2(ops, thetas) -> ConditionVerdict:
+    """Positive top gaps at the real centres.  On a diffusion the evidence
+    counts the centres that are the dense ``top_eigen_data`` rather than the
+    banded pair (``dense_centres``); chains are dense by design, not counted."""
     gaps = {}
     try:
         for th in thetas:
@@ -335,7 +343,9 @@ def _check_b2(ops, thetas) -> ConditionVerdict:
     except DegenerateSpectrumError as exc:
         return ConditionVerdict("B2", False, {"gaps": gaps}, note=str(exc))
     ok = all(g > 0.0 for g in gaps.values())
-    return ConditionVerdict("B2", ok, {"gaps": gaps, "min_gap": min(gaps.values())})
+    dense = 0 if ops.is_chain else sum(th in ops.dense_centres for th in gaps)
+    return ConditionVerdict("B2", ok, {"gaps": gaps, "min_gap": min(gaps.values()),
+                                       "dense_centres": dense})
 
 
 def _check_b3_suite(ops, thetas, svals) -> ConditionVerdict:

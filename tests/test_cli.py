@@ -147,6 +147,16 @@ def test_condition_grids_accept_the_grid_object_form(tmp_path, capsys):
     assert (tmp_path / "out" / "conditions.csv").exists()
 
 
+def test_repeated_theta_stops_verify_conditions_with_an_error(tmp_path, capsys):
+    path = write_config(tmp_path, {**BASE, "theta_grid": [0.5, 0.5, 1.0],
+                                   "output_dir": str(tmp_path / "out")})
+    assert cli.main(["verify-conditions", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "theta grid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "conditions.csv").exists()
+
+
 @pytest.mark.parametrize("tol", [float("nan"), "nan", float("inf"), 0, -1e-6, 1.0],
                          ids=["NaN", "nan-string", "Infinity", "zero", "negative", "one"])
 def test_tol_outside_unit_interval_is_a_config_error(tmp_path, capsys, tol):

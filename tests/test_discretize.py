@@ -285,8 +285,9 @@ def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
     ops = DiffusionOperators(mathieu, 256)
     ops.perron(0.3)
     _, g, psi = ops.perron(0.3 + 1e-10)
+    # the reference workspace holds the dense top_eigen_data pair at the tilt
     dense = DiffusionOperators(mathieu, 256)
-    ref = dense.eigendata(0.3 + 1e-10)
+    ref = dense._dense_centre(0.3 + 1e-10)
     assert np.max(np.abs(g - ref.g)) < 1e-12
     assert np.max(np.abs(psi - ref.psi)) < 1e-12 * np.max(ref.psi)
     assert abs(spectral_mu_prime(ops, 0.3 + 1e-10) - spectral_mu_prime(dense, 0.3 + 1e-10)) < 5e-13

@@ -240,7 +240,8 @@ def test_tilted_dynamics_mathieu_drift_field(mathieu):
     theta = 1.0
     tspec = lx.tilted_dynamics(mathieu, theta, n=256)
     ops = lx.operators_for(mathieu, 256)
-    ed = ops.eigendata(theta)
+    from ldp_expand._eigen import top_eigen_data
+    ed = top_eigen_data(ops.tilted(theta), weight=ops.weight, positive=True)
     n = 256
     dlng = (np.roll(np.log(ed.g), -1) - np.roll(np.log(ed.g), 1)) * (0.5 * n)
     x = np.arange(n) / n

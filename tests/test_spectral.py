@@ -220,6 +220,18 @@ def test_spectrum_conjugate_symmetry(mathieu):
     assert np.max(np.abs(up - dn)) < 1e-8
 
 
+@pytest.mark.parametrize("model, z", [("mathieu", 0.5), ("mathieu", complex(0.5, 2.0)),
+                                      ("gradient_drift", 0.5)])
+def test_spectrum_takes_the_hermitian_solver_only_for_a_hermitian_matrix(request, model, z):
+    M = operators_for(request.getfixturevalue(model), 64).tilted(z)
+    w = spectrum(M)
+    hermitian = np.array_equal(M, M.conj().T)
+    assert hermitian == (model == "mathieu" and z == 0.5)
+    assert np.isrealobj(w) == hermitian
+    ref = np.sort_complex(scipy.linalg.eigvals(M))
+    assert np.max(np.abs(np.sort_complex(w) - ref)) < 1e-12 * np.max(np.abs(M))
+
+
 def test_convexity_profile(mathieu):
     dds = sp.convexity_profile(mathieu, [0.0, 0.25, 0.5, 0.75, 1.0], n=256)
     assert all(dd > 0 for _, dd in dds)

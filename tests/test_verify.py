@@ -157,7 +157,17 @@ def test_noisy_chain_prefactor_agreement(frame):
 # B1 disc values by continuation.
 
 def _dense_disc(ops, th):
-    return np.array([complex(ops.eigendata(z).value) for z in verify._disc_points(th, 0.05)])
+    from ldp_expand._eigen import top_eigen_data
+    return np.array([complex(top_eigen_data(ops.tilted(z), weight=ops.weight).value)
+                     for z in verify._disc_points(th, 0.05)])
+
+
+def _fallback_disc(ops, th):
+    """B1's all-dense fallback: the cached centre, then every ring point
+    solved densely."""
+    vals = _dense_disc(ops, th)
+    vals[0] = ops.eigendata(th).value
+    return vals
 
 
 @pytest.mark.parametrize("model, n, thetas", [
@@ -187,7 +197,7 @@ def test_b1_forced_fallback_reproduces_dense(mathieu, monkeypatch):
     worst = 0.0
     for th in thetas:
         dz = np.array(verify._disc_points(th, 0.05)) - th
-        vals = _dense_disc(ops, th)
+        vals = _fallback_disc(ops, th)
         design = np.column_stack([dz**p for p in range(5)])
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         worst = max(worst, float(np.max(np.abs(design @ coef - vals))))
@@ -196,22 +206,27 @@ def test_b1_forced_fallback_reproduces_dense(mathieu, monkeypatch):
     assert abs(continued.evidence["residual"] - worst) < 1e-11
 
 
-def test_b1_adds_no_complex_eigensolve_on_a_diffusion(mathieu, monkeypatch):
-    import scipy.linalg
-
+def _record_linalg(monkeypatch, names, entry):
+    """Route the named ``scipy.linalg`` functions through a recorder; returns
+    the list that gets ``entry(name, a)`` for each call."""
     calls = []
-    real_eig = scipy.linalg.eig
+    for name in names:
+        def recorded(a, *args, _name=name, _real=getattr(scipy.linalg, name), **kwargs):
+            calls.append(entry(_name, a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, recorded)
+    return calls
 
-    def counting_eig(a, *args, **kwargs):
-        calls.append(np.iscomplexobj(a))
-        return real_eig(a, *args, **kwargs)
 
+def test_b1_adds_no_complex_eigensolve_on_a_diffusion(mathieu, monkeypatch):
+    calls = _record_linalg(monkeypatch, ("eig", "eigvals", "eigvalsh"),
+                           lambda name, a: (name, np.iscomplexobj(a)))
     ops = DiffusionOperators(mathieu, 64)
-    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
     verdict = verify._check_b1_surrogate(ops, [0.0, 0.5, 1.0])
     assert verdict.passed
-    # one dense solve per real centre, none at a complex tilt
-    assert calls == [False, False, False]
+    # one eigenvalues-only solve per real centre (the symmetric one: Mathieu
+    # is self-adjoint), none at a complex tilt, and no dense eigenvectors
+    assert calls == [("eigvalsh", False)] * 3
 
 
 def test_b1_rejects_a_pair_off_the_top_branch(mathieu, monkeypatch):
@@ -226,7 +241,7 @@ def test_b1_rejects_a_pair_off_the_top_branch(mathieu, monkeypatch):
     monkeypatch.setattr(verify, "rqi_pair", wrong_branch)
     vals, dense = verify._disc_values(ops, verify._disc_points(0.5, 0.05))
     assert dense == 16
-    assert np.max(np.abs(vals - _dense_disc(ops, 0.5))) == 0.0
+    assert np.max(np.abs(vals - _fallback_disc(ops, 0.5))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +269,14 @@ def _direct_decay(ops, thetas, s_decay, t_decay):
     return evidence
 
 
-def _dense_projector(ops, th, mats):
+def _dense_projector(ops, th, mats, ed=None):
     """D2's dense branch: the largest projector deviation over the time-t
-    matrices ``mats`` ({t: M(t)}), each with a dense ``top_eigen_data``."""
+    matrices ``mats`` ({t: M(t)}), each with a dense ``top_eigen_data``, from
+    the time-1 pair ``ed`` (by default the dense one)."""
     from ldp_expand._eigen import top_eigen_data
-    ed = ops.eigendata(th)
+    if ed is None:
+        ed = top_eigen_data(ops.tilted(th), weight=ops.weight,
+                            sort="abs" if ops.is_chain else "real", positive=True)
     proj = np.outer(ed.g, ed.psi) * ops.weight
     worst = 0.0
     for M in mats.values():
@@ -321,23 +339,10 @@ def test_chain_decay_and_projector_verdicts_match_direct_powers():
 
 
 def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, monkeypatch):
-    expms, eigs = [], []
-    real_expm, real_eig = scipy.linalg.expm, scipy.linalg.eig
-
-    def counting_expm(a, *args, **kwargs):
-        expms.append(a.dtype)
-        return real_expm(a, *args, **kwargs)
-
-    def counting_eig(a, *args, **kwargs):
-        eigs.append(np.count_nonzero(a))
-        return real_eig(a, *args, **kwargs)
-
-    eigvals, real_eigvals = [], scipy.linalg.eigvals
-    monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-    monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
-    monkeypatch.setattr(scipy.linalg, "eigvals",
-                        lambda a, *args, **kwargs: eigvals.append(a.shape)
-                        or real_eigvals(a, *args, **kwargs))
+    expms = _record_linalg(monkeypatch, ("expm",), lambda name, a: a.dtype)
+    eigs = _record_linalg(monkeypatch, ("eig",), lambda name, a: np.count_nonzero(a))
+    eigvals = _record_linalg(monkeypatch, ("eigvals", "eigvalsh"),
+                             lambda name, a: np.count_nonzero(a))
     thetas, svals = [0.0, 0.5, 1.0], [0.1, 1.0, 5.0, 20.0, 50.0]
     n = 96
     rep = lx.run_condition_suite(mathieu, thetas, svals, [1.0, 1.5, 2.0], n=n)
@@ -347,18 +352,21 @@ def test_suite_takes_one_exponential_per_tilt_and_no_time_t_eigensolve(mathieu, 
     assert all(rep.verdict("D1-2").evidence[th]["certified_s"] == 3 for th in thetas)
     # the projector's exponentials are taken at real tilts in real arithmetic
     assert sum(dt == np.float64 for dt in expms) == len(thetas)
-    # the only dense eigensolves are of banded generators, one per real centre
-    assert len(eigs) == len(thetas) and all(nnz <= 3 * n for nnz in eigs)
+    # no dense eigenvectors; the only dense eigensolves are the eigenvalues
+    # alone of banded generators, one per real centre
+    assert eigs == []
+    assert len(eigvals) == len(thetas) and all(nnz <= 3 * n for nnz in eigvals)
+    assert rep.verdict("B2").evidence["dense_centres"] == 0
     # B3 is certified from those centres' pairs, with no dense spectrum
-    assert eigvals == []
     assert rep.verdict("B3").evidence["dense_fallbacks"] == 0
     assert rep.verdict("D2").evidence["dense_fallbacks"] == 0
 
 
 def _dense_projector_from(ops, th, t_list):
-    """The dense branch on the shared-step routine's own matrices."""
+    """The dense branch on the shared-step routine's own matrices, from the
+    time-1 pair the check is served."""
     from ldp_expand.spectral import _semigroup
-    return _dense_projector(ops, th, _semigroup(ops, th, t_list, ops.mu(th)))
+    return _dense_projector(ops, th, _semigroup(ops, th, t_list, ops.mu(th)), ops.eigendata(th))
 
 
 def _patch_seed(monkeypatch, ops, changes):
@@ -596,3 +604,95 @@ def test_suite_refuses_grids_without_a_usable_s_before_any_work(mathieu, monkeyp
     monkeypatch.setattr(verify, "operators_for", no_work)
     with pytest.raises(ValueError, match="nonzero s"):
         lx.run_condition_suite(mathieu, [0.5], s_grid, t_grid, n=128)
+
+
+@pytest.mark.parametrize("theta_grid", [[0.5, 0.5, 1.0], [0.0, np.nan], [np.inf, 0.5]],
+                         ids=["repeated", "nan", "infinite"])
+def test_suite_refuses_a_repeated_or_non_finite_theta_before_any_work(mathieu, monkeypatch,
+                                                                      theta_grid):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite started work")
+
+    monkeypatch.setattr(verify, "operators_for", no_work)
+    with pytest.raises(ValueError, match="theta grid"):
+        lx.run_condition_suite(mathieu, theta_grid, [1.0], [1.0], n=128)
+
+
+# ---------------------------------------------------------------------------
+# Real-tilt centres from the banded Perron pair and an eigenvalues-only spectrum.
+
+CENTRE_THETAS = [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("model, n", [("mathieu", 256), ("gaussian", 64), ("gradient_drift", 128),
+                                      ("variable", 128), ("zero_offdiagonal", 8)])
+def test_centre_matches_the_dense_top_eigen_data(request, model, n):
+    from ldp_expand._eigen import top_eigen_data
+    if model == "zero_offdiagonal":
+        spec = _zero_offdiagonal_model()
+    else:
+        spec = _variable_model() if model == "variable" else request.getfixturevalue(model)
+    ops = DiffusionOperators(spec, n)
+    for th in CENTRE_THETAS:
+        ed = ops.eigendata(th)
+        ref = top_eigen_data(ops.tilted(th), weight=ops.weight, positive=True)
+        assert abs(ed.value - ref.value) <= 1e-12 * max(1.0, abs(ref.value)), th
+        assert np.max(np.abs(ed.g - ref.g)) <= 5e-12, th
+        assert np.max(np.abs(ed.psi - ref.psi)) <= 5e-12 * np.max(np.abs(ref.psi)), th
+        assert abs(ed.gap - ref.gap) <= 1e-10 * ref.gap, th
+    assert verify._check_b2(ops, CENTRE_THETAS).evidence["dense_centres"] == 0
+    assert ops.dense_centres == set()
+
+
+def test_centre_off_the_top_branch_is_dense(mathieu, monkeypatch):
+    from ldp_expand._eigen import spectrum, top_eigen_data, top_gap
+    grids = (CENTRE_THETAS, B3_SVALS, [1.0, 1.5, 2.0])
+    n = 64
+    lx.clear_caches()
+    want = lx.run_condition_suite(mathieu, *grids, n=n)
+    _, gap = top_gap(spectrum(operators_for(mathieu, n).tilted(0.5)))
+    real = DiffusionOperators._ladder
+
+    def off_branch(self, theta):
+        # the continued pair at 0.5 comes back 0.6 gap below the top
+        mu, g, psi = real(self, theta)
+        return (mu - 0.6 * gap if theta == 0.5 else mu), g, psi
+
+    monkeypatch.setattr(DiffusionOperators, "_ladder", off_branch)
+    lx.clear_caches()
+    got = lx.run_condition_suite(mathieu, *grids, n=n)
+    ops = operators_for(mathieu, n)
+    assert ops.dense_centres == {0.5}
+    assert got.verdict("B2").evidence["dense_centres"] == 1
+    assert want.verdict("B2").evidence["dense_centres"] == 0
+    ed = ops.eigendata(0.5)
+    ref = top_eigen_data(ops.tilted(0.5), weight=ops.weight, positive=True)
+    assert ed.value == ref.value and np.array_equal(ed.g, ref.g)
+    assert np.array_equal(ed.psi, ref.psi)
+    # the dense centre also replaces the continued pair that perron serves
+    assert ops.perron(0.5)[0] == ref.value
+    assert [(v.name, v.passed) for v in got.verdicts] == [(v.name, v.passed) for v in want.verdicts]
+    assert got.passed
+    for th, g in want.verdict("B2").evidence["gaps"].items():
+        assert abs(got.verdict("B2").evidence["gaps"][th] - g) <= 1e-10 * g
+
+
+def test_zero_offdiagonal_stencil_has_a_uniform_density_and_a_rate():
+    from ldp_expand._eigen import top_eigen_data
+    spec, n, a = _zero_offdiagonal_model(), 8, 0.5
+    ops = DiffusionOperators(spec, n)
+    assert np.min(ops.stencil.lo) == 0.0
+    # the null space is one-dimensional, with the uniform density
+    assert np.max(np.abs(ops.rho.rho - 1.0)) < 1e-12 and ops.rho.residual < 1e-12
+    mu, g, psi = ops.perron(a)
+    ref = top_eigen_data(ops.tilted(a), weight=ops.weight, positive=True)
+    assert abs(mu - ref.value) < 1e-12 and np.max(np.abs(g - ref.g)) < 1e-12
+    point = lx.rate_point(spec, a, n=n)
+
+    def mu_dense(th):
+        return top_eigen_data(ops.tilted(th), weight=ops.weight, positive=True).value
+
+    h = 1e-4
+    slope = (mu_dense(point.theta + h) - mu_dense(point.theta - h)) / (2 * h)
+    assert abs(slope - a) < 1e-7
+    assert abs(point.rate - (point.theta * a - mu_dense(point.theta))) < 1e-12
