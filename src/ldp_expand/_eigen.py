@@ -6,6 +6,10 @@ quotient so that cumulant curves are smooth to near machine precision.
 ``rqi_pair`` is the one two-sided Rayleigh-quotient iteration; it runs on
 any operator with products from both sides and shifted solves (the banded
 tilted generators), and the dense polish reuses its step with an LU solver.
+A step factors the operator once at its shift and gets both directions from
+``two_sided_solve`` (on the banded operator one two-column ?gttrs call per
+side, the corner vector riding along as the first column); the product M g
+it forms for the Rayleigh quotient is the next residual test's product.
 ``krylov_expm_entry`` evaluates one entry of the full transform
 exp(t (M - shift)) v on the same operators.  ``spectrum`` gives the
 eigenvalues alone, and ``top_gap`` / ``refuse_degenerate`` the gap rule of
@@ -140,43 +144,51 @@ class _DenseSolver:
         lu = sla.lu_factor(self.M - sigma * ident)
         return lambda r, trans=False: sla.lu_solve(lu, r, trans=int(trans))
 
+    def two_sided_solve(self, sigma, g, psi):
+        """((M - sigma)^{-1} g, (M - sigma)^{-T} psi) from one LU factor."""
+        solve = self.shifted_solver(sigma)
+        return solve(g), solve(psi, trans=True)
+
 
 def _rqi_step(op, value, g, psi):
     """One two-sided inverse-iteration step at shift ``value`` followed by
-    the two-sided Rayleigh quotient; None on breakdown."""
+    the two-sided Rayleigh quotient; (value, g, psi, M g) of the new pair,
+    or None on breakdown.  Callers enter ``quiet_singular``."""
     try:
-        with quiet_singular():
-            solve = op.shifted_solver(value)
-            g2 = solve(g)
-            psi2 = solve(psi, trans=True)
+        g2, psi2 = op.two_sided_solve(value, g, psi)
     except (sla.LinAlgError, ValueError):
         return None
-    if not (np.all(np.isfinite(g2)) and np.all(np.isfinite(psi2))):
+    # ndarray methods: the same reductions as np.max / np.all without the
+    # dispatch wrapper, which costs as much as the reduction at n = 256
+    if not (np.isfinite(g2).all() and np.isfinite(psi2).all()):
         return None
-    g2 = g2 / np.max(np.abs(g2))
-    psi2 = psi2 / np.max(np.abs(psi2))
+    g2 = g2 / np.abs(g2).max()
+    psi2 = psi2 / np.abs(psi2).max()
     denom = psi2 @ g2
     if denom == 0 or not np.isfinite(denom):
         return None
-    value2 = (psi2 @ op.matvec(g2)) / denom
+    Mg2 = op.matvec(g2)
+    value2 = (psi2 @ Mg2) / denom
     if not np.isfinite(value2):
         return None
-    return value2, g2, psi2
+    return value2, g2, psi2, Mg2
 
 
 def _polish_pair(M, value, g, psi):
-    """One to two rounds of inverse iteration plus a two-sided Rayleigh quotient."""
+    """One to two rounds of inverse iteration plus a two-sided Rayleigh
+    quotient, each kept only when it does not raise the residual."""
     op = _DenseSolver(M)
-    for _ in range(2):
-        step = _rqi_step(op, value, g, psi)
-        if step is None:
-            break
-        value2, g2, psi2 = step
-        res_new = np.max(np.abs(M @ g2 - value2 * g2))
-        res_old = np.max(np.abs(M @ g - value * g))
-        if res_new > res_old:
-            break
-        value, g, psi = value2, g2, psi2
+    with quiet_singular():
+        res = np.max(np.abs(M @ g - value * g))
+        for _ in range(2):
+            step = _rqi_step(op, value, g, psi)
+            if step is None:
+                break
+            value2, g2, psi2, Mg2 = step
+            res2 = np.max(np.abs(Mg2 - value2 * g2))
+            if res2 > res:
+                break
+            value, g, psi, res = value2, g2, psi2, res2
     return value, g, psi
 
 
@@ -216,7 +228,9 @@ def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float):
     from (g0, psi0).
 
     ``op`` offers ``matvec(u)`` (M u), ``rmatvec(v)`` (v M), ``scale`` (the
-    largest entry modulus), ``dtype`` and ``shifted_solver(sigma)``.  The
+    largest entry modulus), ``dtype`` and ``two_sided_solve(sigma, g, psi)``
+    ((M - sigma)^{-1} g and (M - sigma)^{-T} psi).  One ``matvec`` per step
+    serves both its Rayleigh quotient and the next residual test.  The
     iteration runs in the common precision of operator and seeds, so a real
     Perron branch stays real.  Returns (value, g, psi) with the largest-modulus
     entry of g equal to 1 and ``sum(psi * g) * weight = 1``, or None when
@@ -227,26 +241,27 @@ def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float):
     denom = psi @ g
     if denom == 0 or not np.isfinite(denom):
         return None
-    value = (psi @ op.matvec(g)) / denom
+    Mg = op.matvec(g)
+    value = (psi @ Mg) / denom
     target = max(1e-12, 32 * np.finfo(float).eps * op.scale)
     converged = False
-    for it in range(RQI_MAX_ITER):
-        # the seed always takes one step: a seed from a nearby operator can
-        # pass the residual test while its vectors keep a first-order error
-        if (it and np.max(np.abs(op.matvec(g) - value * g)) < target
-                and np.max(np.abs(op.rmatvec(psi) - value * psi)) < target):
-            converged = True
-            break
-        step = _rqi_step(op, value, g, psi)
-        if step is None:
-            return None
-        value, g, psi = step
+    with quiet_singular():
+        for it in range(RQI_MAX_ITER):
+            # the seed always takes one step: a seed from a nearby operator can
+            # pass the residual test while its vectors keep a first-order error
+            if (it and np.abs(Mg - value * g).max() < target
+                    and np.abs(op.rmatvec(psi) - value * psi).max() < target):
+                converged = True
+                break
+            step = _rqi_step(op, value, g, psi)
+            if step is None:
+                return None
+            value, g, psi, Mg = step
     if not converged:
         return None
-    j = int(np.argmax(np.abs(g)))
-    g = g / g[j]
-    g = g / np.max(np.abs(g))
-    pairing = np.sum(psi * g) * weight
+    g = g / g[int(np.abs(g).argmax())]
+    g = g / np.abs(g).max()
+    pairing = (psi * g).sum() * weight
     if pairing == 0 or not np.isfinite(pairing):
         return None
     return value.item(), g, psi / pairing
@@ -262,13 +277,14 @@ def krylov_expm_entry(op, shift: float, t: float, i0: int, v: np.ndarray,
     (I - gamma (M - shift))^{-1}, gamma = t / 10 (van den Eshof & Hochbruck,
     SIAM J. Sci. Comput. 27, 2006).
 
-    ``op`` is the operator protocol of ``rqi_pair``; one ``shifted_solver``
-    factor serves every Krylov step.  On an m-dimensional space with
-    Hessenberg matrix H the projection of M - shift is (I - H^{-1}) / gamma,
-    whose small matrix exponential gives the m-th value.  Stops when two
-    successive values differ by at most rtol * max(peak, |value|), or at once
-    when the space is invariant; returns None when KRYLOV_MAX_DIM steps do
-    not get there or a solve breaks down."""
+    ``op`` offers ``dtype`` and ``shifted_solver(sigma)`` (a solve
+    function); one factor serves every Krylov step.  On an m-dimensional
+    space with Hessenberg matrix H the projection of M - shift is
+    (I - H^{-1}) / gamma, whose small matrix exponential gives the m-th
+    value.  Stops when two successive values differ by at most
+    rtol * max(peak, |value|), or at once when the space is invariant;
+    returns None when KRYLOV_MAX_DIM steps do not get there or a solve
+    breaks down."""
     gamma = t / 10.0
     # (I - gamma (M - shift))^{-1} = -(1 / gamma) (M - (shift + 1 / gamma))^{-1}
     try:

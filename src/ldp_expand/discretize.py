@@ -86,9 +86,10 @@ class CyclicTridiagonal:
         (M u)_i = lo_i u_{i-1} + diag_i u_i + up_i u_{i+1}    (indices mod n),
 
     the exact form of a torus generator and of every tilt of it.  Products
-    cost O(n).  ``shifted_solver`` factors the tridiagonal part of M - sigma
-    once (LAPACK ?gttrf) and folds the two corner entries back in by
-    Sherman-Morrison (Numerical Recipes, section 2.7), so each solve is O(n)."""
+    cost O(n).  ``shifted_solver`` and ``two_sided_solve`` factor the
+    tridiagonal part of M - sigma once (LAPACK ?gttrf) and fold the two
+    corner entries back in by Sherman-Morrison (``_ShiftedLU``), so each
+    solve is O(n)."""
 
     lo: np.ndarray
     diag: np.ndarray
@@ -105,8 +106,8 @@ class CyclicTridiagonal:
     @property
     def scale(self) -> float:
         """Largest entry modulus (the max-norm of the dense matrix)."""
-        return float(max(np.max(np.abs(self.lo)), np.max(np.abs(self.diag)),
-                         np.max(np.abs(self.up))))
+        return float(max(np.abs(self.lo).max(), np.abs(self.diag).max(),
+                         np.abs(self.up).max()))
 
     def shifted_diagonal(self, shift) -> "CyclicTridiagonal":
         return CyclicTridiagonal(lo=self.lo, diag=self.diag + shift, up=self.up)
@@ -141,55 +142,105 @@ class CyclicTridiagonal:
 
     def shifted_solver(self, sigma):
         """solve(r, trans=False) returning (M - sigma)^{-1} r, or the solution
-        of the transposed system (M - sigma)^T x = r with ``trans=True``.
+        of the transposed system (M - sigma)^T x = r with ``trans=True``.  One
+        factor serves every right-hand side; each solve is one ?gttrs call."""
+        lu = _ShiftedLU(self, sigma)
+        corners = (lu.corner(False), lu.corner(True))
 
-        Writes M - sigma = T + u w^T with u = (gamma, 0, ..., 0, a) and
-        w = (1, 0, ..., 0, b / gamma), where a and b are the bottom-left and
-        top-right corners and T is tridiagonal.  gamma = -(M - sigma)_{00}
-        keeps T's first pivot clear of cancellation; when that entry is
-        smaller than the corners (a pin that cancels the diagonal), gamma =
-        -max(|a|, |b|, 1) keeps b / gamma and a b / gamma bounded instead."""
-        d = self.diag - sigma
-        a, b = self.up[-1], self.lo[0]
+        def solve(r, trans=False):
+            r = np.asarray(r)
+            if np.iscomplexobj(r) and lu.dtype.kind != "c":
+                # a real factor solves the real and imaginary parts apart
+                return solve(r.real, trans) + 1j * solve(r.imag, trans)
+            return lu.fold(lu.gttrs(r.astype(lu.dtype), trans), *corners[bool(trans)], trans)
+
+        return solve
+
+    def two_sided_solve(self, sigma, g, psi):
+        """((M - sigma)^{-1} g, (M - sigma)^{-T} psi), equal to the two
+        ``shifted_solver(sigma)`` solves, from one factor and one two-column
+        ?gttrs call per side: the corner vector and the right-hand side."""
+        lu = _ShiftedLU(self, sigma)
+        return lu.solve_with_corner(g, False), lu.solve_with_corner(psi, True)
+
+
+class _ShiftedLU:
+    """M - sigma = T + u w^T for a ``CyclicTridiagonal`` M, with T
+    tridiagonal and factored once (LAPACK ?gttrf), u = (gamma, 0, ..., 0, a)
+    and w = (1, 0, ..., 0, b / gamma), where a and b are the bottom-left and
+    top-right corners.  gamma = -(M - sigma)_{00} keeps T's first pivot clear
+    of cancellation; when that entry is smaller than the corners (a pin that
+    cancels the diagonal), gamma = -max(|a|, |b|, 1) keeps b / gamma and
+    a b / gamma bounded instead.
+
+    A solve of M - sigma (or of its transpose) is a solve y of T (T^T) with
+    the corner folded back in by Sherman-Morrison (Numerical Recipes,
+    section 2.7): x = y - (w^T y / (1 + w^T q)) q with T q = u, and
+    x = y - (u^T y / (1 + u^T p)) p with T^T p = w."""
+
+    def __init__(self, op: CyclicTridiagonal, sigma):
+        d = op.diag - sigma
+        a, b = op.up[-1], op.lo[0]
         floor = max(abs(a), abs(b), 1.0)
         gamma = -d[0] if abs(d[0]) >= floor else -floor
         d[0] -= gamma
         d[-1] -= a * b / gamma
-        dl, du = self.lo[1:], self.up[:-1]
-        gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
-        dtype = gttrf.dtype
-        dl, d, du, du2, ipiv, info = gttrf(dl.astype(dtype), d.astype(dtype), du.astype(dtype))
+        dl, du = op.lo[1:], op.up[:-1]
+        gttrf, self._gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+        *self._lu, info = gttrf(dl, d, du, overwrite_d=True)
         if info > 0:
             raise sla.LinAlgError(f"tridiagonal factor is singular at pivot {info}")
-        n = self.n
-        u = np.zeros(n, dtype=dtype)
-        u[0], u[-1] = gamma, a
-        w = np.zeros(n, dtype=dtype)
-        w[0], w[-1] = 1.0, b / gamma
-        # T q = u and T^T p = w, shared by every right-hand side
-        q, _ = gttrs(dl, d, du, du2, ipiv, u)
-        p, _ = gttrs(dl, d, du, du2, ipiv, w, trans="T")
-        denom_n = 1.0 + (q[0] + w[-1] * q[-1])
-        denom_t = 1.0 + (gamma * p[0] + a * p[-1])
-        # sigma an eigenvalue to working precision zeroes a denominator; as
+        self.dtype = gttrf.dtype
+        n = op.n
+        self.u = np.zeros(n, dtype=self.dtype)
+        self.u[0], self.u[-1] = gamma, a
+        self.w = np.zeros(n, dtype=self.dtype)
+        self.w[0], self.w[-1] = 1.0, b / gamma
+        self._gamma, self._a, self._b_gamma = gamma, a, self.w[-1]
+
+    def gttrs(self, B: np.ndarray, trans: bool) -> np.ndarray:
+        """T^{-1} B (T^{-T} B with trans), overwriting B, which must be a
+        fresh array of the factor's dtype (Fortran order for a block)."""
+        X, _ = self._gttrs(*self._lu, B, trans="T" if trans else "N", overwrite_b=True)
+        return X
+
+    def corner(self, trans: bool):
+        """(q, 1 + w^T q) with T q = u, or (p, 1 + u^T p) with T^T p = w."""
+        c = self.gttrs((self.w if trans else self.u).copy(), trans)
+        return c, self._denominator(c, trans)
+
+    def _coupling(self, y, trans):
+        # w^T y, or u^T y with trans
+        return self._gamma * y[0] + self._a * y[-1] if trans else y[0] + self._b_gamma * y[-1]
+
+    def _denominator(self, c: np.ndarray, trans: bool):
+        denom = 1.0 + self._coupling(c, trans)
+        # sigma an eigenvalue to working precision zeroes the denominator; as
         # inverse iteration does with a zero pivot, perturb it by one rounding
         # unit, so the solve returns the null vector q (or p) scaled up, not inf
-        eps = np.finfo(float).eps
-        denom_n = denom_n if denom_n != 0 else eps
-        denom_t = denom_t if denom_t != 0 else eps
+        return denom if denom != 0 else np.finfo(float).eps
 
-        def solve(r, trans=False):
-            r = np.asarray(r)
-            if np.iscomplexobj(r) and dtype.kind != "c":
-                # a real factor solves the real and imaginary parts apart
-                return solve(r.real, trans) + 1j * solve(r.imag, trans)
-            if trans:
-                y, _ = gttrs(dl, d, du, du2, ipiv, r.astype(dtype), trans="T")
-                return y - ((gamma * y[0] + a * y[-1]) / denom_t) * p
-            y, _ = gttrs(dl, d, du, du2, ipiv, r.astype(dtype))
-            return y - ((y[0] + w[-1] * y[-1]) / denom_n) * q
+    def fold(self, y: np.ndarray, c: np.ndarray, denom, trans: bool) -> np.ndarray:
+        """The solve of M - sigma (or its transpose) from the solve y of T
+        (T^T) and the corner pair (c, denom) of ``corner``."""
+        return y - (self._coupling(y, trans) / denom) * c
 
-        return solve
+    def solve_with_corner(self, r: np.ndarray, trans: bool) -> np.ndarray:
+        """The solve of M - sigma (or its transpose) for r by one ?gttrs call
+        on the block [u | r] ([w | r] with trans); a real factor takes the
+        real and imaginary parts of a complex r as two columns."""
+        split = np.iscomplexobj(r) and self.dtype.kind != "c"
+        B = np.empty((r.size, 3 if split else 2), dtype=self.dtype, order="F")
+        B[:, 0] = self.w if trans else self.u
+        if split:
+            B[:, 1], B[:, 2] = r.real, r.imag
+        else:
+            B[:, 1] = r
+        Y = self.gttrs(B, trans)
+        c = Y[:, 0]
+        denom = self._denominator(c, trans)
+        x = self.fold(Y[:, 1], c, denom, trans)
+        return x + 1j * self.fold(Y[:, 2], c, denom, trans) if split else x
 
 
 def _next(u: np.ndarray) -> np.ndarray:
@@ -418,6 +469,8 @@ class DiffusionOperators:
         self.quadrature_fallbacks = 0
         # real tilts whose Perron centre is the dense top_eigen_data
         self.dense_centres: set[float] = set()
+        # max Re spec G(theta) at real tilts, from the centres' dense solves
+        self._envelope: dict[float, float] = {}
 
     # -- operators ---------------------------------------------------------
     def operator(self, z: complex) -> CyclicTridiagonal:
@@ -468,6 +521,7 @@ class DiffusionOperators:
         within half the gap of the dense top eigenvalue; otherwise the centre
         is the dense ``top_eigen_data``, recorded in ``dense_centres``."""
         w = spectrum(self.tilted(theta))
+        self._envelope[theta] = float(np.max(w.real))
         top, gap = top_gap(w)
         refuse_degenerate(w, gap, w[top])
         pair = self._mu_lite.get(theta) or self._ladder(theta)
@@ -476,6 +530,13 @@ class DiffusionOperators:
         mu, g, psi = pair
         residual = float(np.max(np.abs(self.operator(theta).matvec(g) - mu * g)))
         return EigenData(value=mu, g=g, psi=psi, gap=gap, residual=residual, weight=self.weight)
+
+    def envelope(self, theta: float) -> float:
+        """max Re spec G(theta) at a real tilt: the top of the centre's
+        eigenvalues, or one eigenvalues-only solve where no centre ran."""
+        if theta not in self._envelope:
+            self._envelope[theta] = float(np.max(spectrum(self.tilted(theta)).real))
+        return self._envelope[theta]
 
     def _dense_centre(self, theta: float) -> EigenData:
         """The dense ``top_eigen_data`` at a real tilt, which also replaces

@@ -261,8 +261,9 @@ def check_b3(spec: ModelSpec, theta: float, s_list, *, n: int | None = None) -> 
 
 def b3_margins(ops, theta: float, s_list) -> list[tuple[float, float]]:
     """Margins measured against the spectral envelope, one dense spectrum
-    per tilt; defined through the spectral bound (not the Perron pair), so
-    degenerate negative controls still produce reportable numbers."""
+    per tilt (on a diffusion the real tilt's is the centre's); defined
+    through the spectral bound (not the Perron pair), so degenerate negative
+    controls still produce reportable numbers."""
     theta = float(theta)
     ref = spectral_envelope(ops, theta)
     out = []
@@ -302,7 +303,10 @@ def b3_certificate(ops, theta: float) -> float | None:
 
 def spectral_envelope(ops, z: complex) -> float:
     """Top of the whole spectrum on the cumulant scale: the largest real
-    part (generators) or the log spectral radius (chains)."""
+    part (generators) or the log spectral radius (chains).  A diffusion
+    serves a real tilt from its workspace (``DiffusionOperators.envelope``)."""
+    if isinstance(z, float) and not ops.is_chain:
+        return ops.envelope(z)
     w = spectrum(ops.tilted(z))
     return float(np.log(np.max(np.abs(w)))) if ops.is_chain else float(np.max(w.real))
 

@@ -279,6 +279,118 @@ def test_cyclic_solver_at_an_eigenvalue_returns_its_vector(mathieu):
             assert np.max(np.abs(x - ref / np.max(ref))) < 1e-6
 
 
+def _pair_solve_case(ops, case):
+    """(operator, shift, g, psi) of one ``two_sided_solve`` parity case."""
+    rng = np.random.default_rng(11)
+    n = ops.grid.n
+    real = rng.standard_normal((2, n))
+    cplx = real + 1j * rng.standard_normal((2, n))
+    if case == "real":
+        return ops.operator(0.5), 0.3, *real
+    if case == "complex_operator":
+        return ops.operator(complex(0.5, 2.0)), complex(-3.0, 1.5), *cplx
+    if case == "real_operator_complex_vectors":
+        return ops.operator(0.5), 0.3, *cplx
+    if case == "at_an_eigenvalue":
+        theta = 0.2871632053371564
+        return ops.operator(theta), ops.perron(theta)[0], *real
+    # the pin of test_cyclic_solver_with_a_pin_that_cancels_the_first_diagonal_entry
+    op = ops.operator(0.0)
+    pin = np.zeros(n)
+    pin[0] = op.scale
+    return op.shifted_diagonal(pin), 1e-14, *real
+
+
+@pytest.mark.parametrize("case", ["real", "complex_operator", "real_operator_complex_vectors",
+                                  "at_an_eigenvalue", "pin_cancels_first_entry", "dense"])
+def test_two_sided_solve_equals_the_two_shifted_solves(mathieu, case):
+    from ldp_expand._eigen import _DenseSolver
+    from ldp_expand.discretize import _ShiftedLU
+    ops = operators_for(mathieu, 256)
+    if case == "dense":
+        op, sigma, g, psi = _pair_solve_case(ops, "complex_operator")
+        op = _DenseSolver(op.dense())
+    else:
+        op, sigma, g, psi = _pair_solve_case(ops, case)
+    if case == "at_an_eigenvalue":
+        # both Sherman-Morrison denominators vanish and take the eps guard
+        lu = _ShiftedLU(op, sigma)
+        for trans in (False, True):
+            assert lu.corner(trans)[1] == np.finfo(float).eps
+    if case == "pin_cancels_first_entry":
+        assert op.diag[0] == 0.0
+    x, y = op.two_sided_solve(sigma, g, psi)
+    solve = op.shifted_solver(sigma)
+    assert np.array_equal(x, solve(g))
+    assert np.array_equal(y, solve(psi, trans=True))
+    assert x.dtype == solve(g).dtype and y.dtype == solve(psi, trans=True).dtype
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+
+
+class _CountingOperator:
+    """An operator whose method calls are counted by name."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = {}
+
+    def __getattr__(self, name):
+        attr = getattr(self.op, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def _count_lapack(monkeypatch):
+    """Count the ?gttrf and ?gttrs calls of every banded factor and solve."""
+    import scipy.linalg as sla
+    counts = {"gttrf": 0, "gttrs": 0}
+    real_get = sla.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays=(), *args, **kwargs):
+        funcs = real_get(names, arrays, *args, **kwargs)
+        if isinstance(names, str):
+            return funcs
+
+        def wrap(name, fn):
+            def counted(*a, **k):
+                counts[name] += 1
+                return fn(*a, **k)
+            counted.dtype = fn.dtype
+            return counted
+        return [wrap(name, fn) if name in counts else fn for name, fn in zip(names, funcs)]
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", get_lapack_funcs)
+    return counts
+
+
+@pytest.mark.parametrize("z", [0.5, complex(0.5, 2.0)])
+def test_banded_rqi_step_and_pair_kernel_counts(mathieu, monkeypatch, z):
+    from ldp_expand import _eigen
+    ops = operators_for(mathieu, 256)
+    seed = (ops.perron(0.45) if isinstance(z, float) else ops.top_pair(0.5, 1.9))[1:]
+    counts = _count_lapack(monkeypatch)
+    op = _CountingOperator(ops.operator(z))
+    value = (seed[1] @ op.op.matvec(seed[0])) / (seed[1] @ seed[0])
+    with _eigen.quiet_singular():
+        assert _eigen._rqi_step(op, value, *seed) is not None
+    # one factor and one two-column solve per side
+    assert counts == {"gttrf": 1, "gttrs": 2}
+    assert op.calls == {"two_sided_solve": 1, "matvec": 1}
+    counts.update(gttrf=0, gttrs=0)
+    op = _CountingOperator(ops.operator(z))
+    assert _eigen.rqi_pair(op, *seed, ops.weight) is not None
+    steps = op.calls["two_sided_solve"]
+    assert steps >= 2
+    # the seed's product, then one per step: the residual test reuses it
+    assert op.calls["matvec"] == 1 + steps
+    assert counts == {"gttrf": steps, "gttrs": 2 * steps}
+
+
 def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
     # a seed 1e-10 away in theta is within the iteration's residual target,
     # but its vectors carry a 1e-11 error; one step removes it

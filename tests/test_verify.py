@@ -478,6 +478,26 @@ def test_b3_falls_back_to_dense_margins(mathieu, monkeypatch, case):
     assert verdict.passed == (min(dense.values()) > 1e-8)
 
 
+def test_dense_b3_margins_take_the_real_tilt_envelope_from_the_centre(monkeypatch):
+    from ldp_expand._eigen import spectrum
+    spec, n = _zero_offdiagonal_model(), 8
+    ops = operators_for(spec, n)
+    # the margins of one fresh dense spectrum per tilt, the real one included
+    ref = {(th, s): float(np.max(spectrum(ops.tilted(th)).real))
+           - float(np.max(spectrum(ops.tilted(complex(th, s))).real))
+           for th in B3_THETAS for s in B3_SVALS}
+    lx.clear_caches()
+    calls = _record_linalg(monkeypatch, ("eig", "eigvals", "eigvalsh"),
+                           lambda name, a: np.iscomplexobj(a))
+    rep = lx.run_condition_suite(spec, B3_THETAS, B3_SVALS, [1.0, 1.5, 2.0], n=n)
+    # one real-tilt eigenvalue solve per theta: the centre's, which B3 reads
+    assert calls.count(False) == len(B3_THETAS)
+    margins = rep.verdict("B3").evidence["margins"]
+    assert rep.verdict("B3").evidence["dense_fallbacks"] == len(ref)
+    assert list(margins) == list(ref)
+    assert np.array_equal(list(margins.values()), list(ref.values()))
+
+
 def test_b3_bound_below_the_floor_falls_back_per_point(mathieu):
     # s = 1e-4 certifies only 5e-9, below the 1e-8 floor; s = 1 is certified
     ops = DiffusionOperators(mathieu, 64)
