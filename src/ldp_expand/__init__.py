@@ -3,10 +3,8 @@ of ergodic Markov models: tilted-generator spectra, Legendre transforms,
 saddle-line inversion, coefficient fitting, and importance-sampled
 cross-validation."""
 
-from .discretize import (DEFAULT_GRID_N, GeneratorMatrix, InvariantDensity,
-                         PeriodicGrid, build_generator, build_tilted_generator,
-                         clear_caches, invariant_density, operators_for,
-                         semigroup_step)
+from .discretize import (DEFAULT_GRID_N, InvariantDensity, PeriodicGrid,
+                         clear_caches, invariant_density, operators_for)
 from .expansion import (CoeffFit, TailCurve, TestFunction, bump_window,
                         exact_tail, extract_coefficients, gaussian_window,
                         leading_coefficient, mgf, one_sided_exponential,
@@ -20,9 +18,8 @@ from .simulate import (Corrector, ISEstimate, TrajectoryBatch, corrector,
                        decorrelation_check, effective_diffusivity,
                        estimate_tail_is, estimate_tail_mc, euler_maruyama,
                        tilted_dynamics)
-from .spectral import (DecayProfile, SpectralTriple, cgf, cgf_derivatives,
-                       check_b3, decay_profile, decomposition_check,
-                       spectral_triple, top_eigen)
+from .spectral import (DecayProfile, cgf, cgf_derivatives, decay_profile,
+                       decomposition_check)
 from .verify import (ChainTailOracle, ConditionReport, ConditionVerdict,
                      brute_force_chain_tail, chain_distribution,
                      projector_time_independence, run_condition_suite)

@@ -48,8 +48,8 @@ class EigenData:
     ``value`` is the matrix-scale eigenvalue (generator: rightmost; transfer
     matrix: largest modulus).  ``g`` is the right eigenvector with sup norm 1,
     ``psi`` the left eigenvector with bilinear pairing sum(psi * g) * weight
-    equal to 1, and ``gap`` the distance from ``value`` to the rest of the
-    spectrum in the sort metric.
+    equal to 1 (the operator's cell weight: ``ops.weight``), and ``gap`` the
+    distance from ``value`` to the rest of the spectrum in the sort metric.
     """
 
     value: complex
@@ -57,7 +57,6 @@ class EigenData:
     psi: np.ndarray
     gap: float
     residual: float
-    weight: float
 
 
 def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
@@ -97,8 +96,7 @@ def top_eigen_data(M: np.ndarray, weight: float = 1.0, sort: str = "real",
     psi = psi / pairing
 
     residual = float(np.max(np.abs(M @ g - value * g)))
-    return EigenData(value=value, g=g, psi=psi, gap=gap, residual=residual,
-                     weight=weight)
+    return EigenData(value=value, g=g, psi=psi, gap=gap, residual=residual)
 
 
 def top_gap(w: np.ndarray, sort: str = "real") -> tuple[int, float]:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expansion, model, rate, simulate, spectral, verify
+from .discretize import operators_for
 from .errors import ConfigError, LdpExpandError
 from .fields import config_integer, config_number, config_numbers, field_from_config
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
@@ -390,10 +391,11 @@ def _cmd_rate(cfg: RunConfig, overrides: dict, **_) -> int:
 
 def _cmd_spectral(cfg: RunConfig, **_) -> int:
     rows = []
+    ops = operators_for(cfg.spec, cfg.grid_n)
     for theta in cfg.theta_grid:
         d1, d2 = spectral.cgf_derivatives(cfg.spec, theta, n=cfg.grid_n)
-        triple = spectral.spectral_triple(cfg.spec, float(theta), n=cfg.grid_n)
-        rows.append([theta, spectral.cgf(cfg.spec, theta, n=cfg.grid_n), d1, d2, triple.gap])
+        gap = spectral._gap_mu_scale(ops, ops.eigendata(float(theta)))
+        rows.append([theta, spectral.cgf(cfg.spec, theta, n=cfg.grid_n), d1, d2, gap])
     write_csv(cfg.output_dir / "spectral.csv", "spectral", cfg.config_hash(),
               ["theta", "mu", "mu_prime", "mu_second", "gap"], rows)
     print(f"spectral: wrote {len(rows)} rows to {cfg.output_dir / 'spectral.csv'}")

@@ -1,5 +1,5 @@
 """Finite-dimensional operators for a model: generator stencils, tilts,
-semigroup steps, invariant densities, and cached per-model workspaces.
+invariant densities, and cached per-model workspaces.
 
 The torus generator uses the divergence-form second-order stencil
 
@@ -21,16 +21,11 @@ import scipy.linalg as sla
 
 from ._eigen import (EigenData, _DenseSolver, krylov_expm_entry, quiet_singular,
                      refuse_degenerate, rqi_pair, spectrum, top_eigen_data, top_gap)
-from .errors import (GridResolutionError, ModelValidationError,
-                     SemigroupOverflowError)
+from .errors import GridResolutionError, ModelValidationError
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
 
 DEFAULT_GRID_N = 256
-
-# exp(t G) entries reach exp(t * max row Gershgorin surplus); beyond this the
-# result overflows double precision and time-splitting is required.
-OVERFLOW_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -51,20 +46,6 @@ class PeriodicGrid:
 
     def points(self) -> np.ndarray:
         return np.arange(self.n) / self.n
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Discretized (possibly complex-tilted) generator."""
-
-    matrix: np.ndarray
-    z: complex
-    tag: str  # "base" or "tilted"
-    grid: PeriodicGrid
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -119,17 +100,6 @@ class CyclicTridiagonal:
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """v M (the left product, without conjugation)."""
         return self.diag * v + _prev(self.up * v) + _next(self.lo * v)
-
-    @classmethod
-    def from_dense(cls, M: np.ndarray) -> "CyclicTridiagonal":
-        """The three periodic diagonals of a dense matrix that has no other
-        nonzero entry."""
-        n = M.shape[0]
-        idx = np.arange(n)
-        op = cls(lo=M[idx, (idx - 1) % n], diag=M[idx, idx], up=M[idx, (idx + 1) % n])
-        if not np.array_equal(op.dense(), M):
-            raise ModelValidationError("matrix is not cyclic tridiagonal")
-        return op
 
     def dense(self) -> np.ndarray:
         n = self.n
@@ -271,17 +241,6 @@ def generator_stencil(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> CyclicTri
     return CyclicTridiagonal(lo=lo, diag=-(up + lo), up=up)
 
 
-def build_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> GeneratorMatrix:
-    """Dense matrix of the generator stencil."""
-    return GeneratorMatrix(matrix=generator_stencil(spec, grid).dense(), z=0.0,
-                           tag="base", grid=grid)
-
-
-def build_tilted_generator(spec: TorusDiffusionSpec, grid: PeriodicGrid, z: complex) -> GeneratorMatrix:
-    """G(z) = A + diag(z b + z^2 sigma^2 / 2)."""
-    return DiffusionOperators(spec, grid.n).generator(z)
-
-
 def _check_torus(spec: TorusDiffusionSpec, grid: PeriodicGrid):
     report = validate_spec(spec, n=grid.n)
     report.raise_for_errors()
@@ -295,37 +254,16 @@ def _check_torus(spec: TorusDiffusionSpec, grid: PeriodicGrid):
                 f"tabulated field length {len(f.values)} must equal grid n={grid.n}")
 
 
-def semigroup_step(G: GeneratorMatrix | np.ndarray, t: float) -> np.ndarray:
-    """exp(t G) by scaling-and-squaring (Pade kernel), 1e-12 relative accuracy."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    M = G.matrix if isinstance(G, GeneratorMatrix) else np.asarray(G)
-    surplus = _gershgorin_top(M)
-    if t * surplus > OVERFLOW_CAP:
-        raise SemigroupOverflowError(
-            f"t * growth bound = {t * surplus:.3g} exceeds {OVERFLOW_CAP}; "
-            "split the time interval or use log-domain evaluation")
-    return sla.expm(t * M)
-
-
-def _gershgorin_top(M: np.ndarray) -> float:
-    diag = np.real(np.diag(M))
-    offsum = np.sum(np.abs(M), axis=1) - np.abs(np.diag(M))
-    return float(np.max(diag + offsum))
-
-
-def invariant_density(A: CyclicTridiagonal | GeneratorMatrix | DiscreteChainSpec) -> InvariantDensity:
-    """Stationary density: null vector of A^T for a base (untilted) torus
-    generator, given as its stencil or as a ``GeneratorMatrix``, or the left
-    Perron vector of the transition matrix of a chain."""
+def invariant_density(A: CyclicTridiagonal | DiscreteChainSpec) -> InvariantDensity:
+    """Stationary density: null vector of A^T for the stencil of a base
+    (untilted) torus generator, or the left Perron vector of the transition
+    matrix of a chain."""
     if isinstance(A, DiscreteChainSpec):
         P = A.transition_matrix()
         rho = _null_density(P.T - np.eye(A.n_states), scale=1.0)
         residual = float(np.max(np.abs(P.T @ rho - rho)))
         rho = rho / rho.sum()
         return InvariantDensity(rho=rho, residual=residual, weight=1.0)
-    if isinstance(A, GeneratorMatrix) and A.tag == "base":
-        A = CyclicTridiagonal.from_dense(A.matrix)
     if not isinstance(A, CyclicTridiagonal):
         raise ModelValidationError("invariant density needs the base (untilted) generator")
     rho = _stencil_null_density(A)
@@ -483,10 +421,6 @@ class DiffusionOperators:
         """Dense G(z), for full spectra and matrix exponentials."""
         return self.operator(z).dense()
 
-    def generator(self, z: complex) -> GeneratorMatrix:
-        return GeneratorMatrix(matrix=self.tilted(z), z=z,
-                               tag="base" if z == 0 else "tilted", grid=self.grid)
-
     def tilt_diagonal(self, z: complex) -> np.ndarray:
         return z * self.b + 0.5 * z * z * self.sigma2
 
@@ -529,7 +463,7 @@ class DiffusionOperators:
             return self._dense_centre(theta)
         mu, g, psi = pair
         residual = float(np.max(np.abs(self.operator(theta).matvec(g) - mu * g)))
-        return EigenData(value=mu, g=g, psi=psi, gap=gap, residual=residual, weight=self.weight)
+        return EigenData(value=mu, g=g, psi=psi, gap=gap, residual=residual)
 
     def envelope(self, theta: float) -> float:
         """max Re spec G(theta) at a real tilt: the top of the centre's

@@ -69,9 +69,6 @@ class FourierField:
         """Return the field plus a constant."""
         return replace(self, const=float(self.const) + float(offset))
 
-    def uniform_mean(self) -> float:
-        return float(self.const)
-
 
 @dataclass(frozen=True)
 class TabulatedField:
@@ -108,9 +105,6 @@ class TabulatedField:
 
     def shifted(self, offset: float) -> "TabulatedField":
         return TabulatedField(tuple(v + float(offset) for v in self.values))
-
-    def uniform_mean(self) -> float:
-        return float(np.mean(self._table()))
 
 
 Field = FourierField | TabulatedField
@@ -218,14 +212,6 @@ def config_integer(value, key: str) -> int:
     if isinstance(value, numbers.Number) and i != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return i
-
-
-def field_to_config(f: Field) -> dict:
-    if isinstance(f, FourierField):
-        if f.is_constant:
-            return {"type": "constant", "value": f.const}
-        return {"type": "fourier", "const": f.const, "cos": list(f.cos), "sin": list(f.sin)}
-    return {"type": "tabulated", "values": list(f.values)}
 
 
 def _require_keys(obj: dict, allowed: set, optional: set = frozenset()):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._eigen import spectrum, top_eigen_data
-from .discretize import CyclicTridiagonal, GeneratorMatrix, lattice_span, operators_for
+from ._eigen import spectrum
+from .discretize import CyclicTridiagonal, lattice_span, operators_for
 from .errors import ConvergenceError, DegenerateSpectrumError, SolvabilityError
 from .fields import periodic_slope
 from .model import ModelSpec
@@ -33,48 +33,12 @@ DECAY_EPS_FLOOR = 1e-9
 DECAY_BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralTriple:
-    """(mu, g, psi, gap) of a tilted operator at one tilt.
-
-    ``mu`` is on generator scale (log of the time-1 eigenvalue).  ``g`` has
-    sup norm 1 and, for real tilts, is positive; ``psi`` satisfies
-    sum(psi * g) * weight = 1.  ``gap`` is the distance from the top of the
-    spectrum to the rest, in the same per-unit-time scale as mu.
-    """
-
-    z: complex
-    mu: float | complex
-    g: np.ndarray
-    psi: np.ndarray
-    gap: float
-    residual: float
-    weight: float
-
-    def projector(self) -> np.ndarray:
-        """Rank-one spectral projector g (x) psi (with the pairing weight)."""
-        return np.outer(self.g, self.psi) * self.weight
-
-
-def _triple_from_ops(ops, z: complex) -> SpectralTriple:
-    ed = ops.eigendata(z)
-    mu = _to_mu(ops, ed.value)
-    gap = _gap_mu_scale(ops, ed)
-    return SpectralTriple(z=z, mu=mu, g=ed.g, psi=ed.psi, gap=gap,
-                          residual=ed.residual, weight=ed.weight)
-
-
-def _to_mu(ops, value):
-    """Matrix-scale top eigenvalue -> per-unit-time cumulant value."""
-    if ops.is_chain:
-        return np.log(value) if np.iscomplexobj(np.asarray(value)) else float(np.log(value))
-    return value
-
-
 def _gap_mu_scale(ops, ed) -> float:
+    """The top gap of ``ops.eigendata`` on the cumulant scale of mu: the
+    generator gap itself on a diffusion, log |lambda_1| - log |lambda_2| per
+    step on a chain."""
     if not ops.is_chain:
         return ed.gap
-    # chain gap is measured between moduli of time-1 eigenvalues; report per step
     lam = abs(ed.value)
     rest = lam - ed.gap
     if rest <= 0.0:
@@ -82,27 +46,9 @@ def _gap_mu_scale(ops, ed) -> float:
     return float(np.log(lam) - np.log(rest))
 
 
-def top_eigen(G: GeneratorMatrix) -> SpectralTriple:
-    """Top eigenpair of a tilted generator matrix.
-
-    For real tilts the Perron pair is positive and mu is real; for complex
-    tilts the eigenvalue of maximal real part is returned and simplicity is
-    enforced through the configured gap threshold.
-    """
-    real = np.isrealobj(G.matrix) or abs(complex(G.z).imag) == 0.0
-    ed = top_eigen_data(G.matrix, weight=G.grid.dx, sort="real", positive=real)
-    return SpectralTriple(z=G.z, mu=ed.value, g=ed.g, psi=ed.psi, gap=ed.gap,
-                          residual=ed.residual, weight=ed.weight)
-
-
 def cgf(spec: ModelSpec, theta: float, *, n: int | None = None) -> float:
     """Cumulant generating function mu(theta) = log lambda(theta, 1)."""
     return operators_for(spec, n).mu(float(theta))
-
-
-def spectral_triple(spec: ModelSpec, z: complex, *, n: int | None = None) -> SpectralTriple:
-    """Cached SpectralTriple of the tilted operator at tilt z."""
-    return _triple_from_ops(operators_for(spec, n), z)
 
 
 @dataclass(frozen=True)
@@ -250,20 +196,15 @@ def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, fl
 # ---------------------------------------------------------------------------
 # Complex-tilt diagnostics.
 
-def check_b3(spec: ModelSpec, theta: float, s_list, *, n: int | None = None) -> list[tuple[float, float]]:
-    """Complex-tilt gap condition, measured: for each s != 0 the dense
-    ``b3_margins`` value mu(theta) - max Re spec(G(theta + i s))
-    (diffusions) or the log-modulus margin (chains); positive values
-    satisfy the condition.  The condition suite certifies diffusion margins
-    by ``b3_certificate`` instead."""
-    return b3_margins(operators_for(spec, n), theta, s_list)
-
-
 def b3_margins(ops, theta: float, s_list) -> list[tuple[float, float]]:
-    """Margins measured against the spectral envelope, one dense spectrum
-    per tilt (on a diffusion the real tilt's is the centre's); defined
-    through the spectral bound (not the Perron pair), so degenerate negative
-    controls still produce reportable numbers."""
+    """Complex-tilt gap condition, measured: for each s != 0 the margin
+    mu(theta) - max Re spec(G(theta + i s)) (diffusions) or the log-modulus
+    margin (chains); positive values satisfy the condition.  Margins are
+    measured against the spectral envelope, one dense spectrum per tilt (on
+    a diffusion the real tilt's is the centre's); defined through the
+    spectral bound (not the Perron pair), so degenerate negative controls
+    still produce reportable numbers.  The condition suite certifies
+    diffusion margins by ``b3_certificate`` instead."""
     theta = float(theta)
     ref = spectral_envelope(ops, theta)
     out = []

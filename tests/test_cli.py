@@ -6,9 +6,12 @@ import time
 
 import pytest
 
-from ldp_expand import cli
+import numpy as np
+
+from ldp_expand import cli, verify
+from ldp_expand.discretize import operators_for
 from ldp_expand.errors import ConfigError
-from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
+from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec, noisy_two_state_chain
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -211,6 +214,26 @@ def test_rate_csv_contains_expected_row(tmp_path):
     assert float(row["a"]) == 1.0
     assert abs(float(row["I"]) - 0.5) < 1e-9
     assert lines[0].startswith("# ldp-expand rate config_hash=")
+
+
+def test_spectral_gap_on_a_chain_is_the_per_step_b2_gap(tmp_path):
+    # a chain's gap column is log |lambda_1| - log |lambda_2| of the time-1
+    # transfer matrix, the per-step scale of the B2 evidence
+    thetas = [0.0, 0.5, 1.0]
+    payload = {"model": {"builtin": "noisy_two_state_chain"}, "theta_grid": thetas,
+               "output_dir": str(tmp_path / "sp")}
+    proc = run_cli(["spectral", "--config", str(write_config(tmp_path, payload))])
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "sp" / "spectral.csv").read_text().splitlines()
+    header = lines[2].split(",")
+    column = [dict(zip(header, ln.split(",")))["gap"] for ln in lines[3:]]
+    ops = operators_for(noisy_two_state_chain())
+    b2 = verify._check_b2(ops, thetas).evidence["gaps"]
+    assert column == [cli._fmt(b2[th]) for th in thetas]
+    for th, golden in zip(thetas, (1.203972804325936, 1.3952718233580639, 1.7235483995079899)):
+        lam = np.sort(np.abs(np.linalg.eigvals(ops.tilted(th))))
+        assert abs(b2[th] - np.log(lam[-1] / lam[-2])) < 1e-12
+        assert abs(b2[th] - golden) < 1e-12
 
 
 def test_validate_exit_codes(tmp_path):

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
 import ldp_expand as lx
 from ldp_expand import fields
 from ldp_expand.discretize import CyclicTridiagonal, DiffusionOperators, operators_for
-from ldp_expand.errors import (GridResolutionError, ModelValidationError,
-                               SemigroupOverflowError)
+from ldp_expand.errors import GridResolutionError, ModelValidationError
 from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
 from ldp_expand.spectral import spectral_mu_prime
 
 
 def test_laplacian_stencil_n8(gaussian):
-    grid = lx.PeriodicGrid(8)
-    A = lx.build_generator(gaussian, grid).matrix
+    A = DiffusionOperators(gaussian, 8).stencil.dense()
     n, dx2 = 8, (1 / 8) ** 2
     expect = np.zeros((n, n))
     idx = np.arange(n)
@@ -24,20 +23,19 @@ def test_laplacian_stencil_n8(gaussian):
 
 
 def test_conservation_row_sums(gradient_drift):
-    A = lx.build_generator(gradient_drift, lx.PeriodicGrid(128)).matrix
+    A = DiffusionOperators(gradient_drift, 128).stencil.dense()
     assert np.max(np.abs(A @ np.ones(128))) < 1e-10
 
 
 def test_invariant_density_closed_form(gradient_drift, grad_density_oracle):
-    A = lx.build_generator(gradient_drift, lx.PeriodicGrid(256))
-    dens = lx.invariant_density(A)
+    dens = lx.invariant_density(DiffusionOperators(gradient_drift, 256).stencil)
     assert abs(dens.integral() - 1.0) < 1e-12
     assert np.max(np.abs(dens.rho - grad_density_oracle(256))) < 1e-4
     assert dens.rho.min() >= 0.0
 
 
 def test_invariant_density_uniform(gaussian):
-    dens = lx.invariant_density(lx.build_generator(gaussian, lx.PeriodicGrid(64)))
+    dens = lx.invariant_density(DiffusionOperators(gaussian, 64).stencil)
     assert np.allclose(dens.rho, 1.0, atol=1e-9)
 
 
@@ -77,22 +75,18 @@ def test_banded_density_rejects_two_dimensional_null_space():
 
 
 def test_tilt_zero_is_base(gaussian):
-    grid = lx.PeriodicGrid(32)
-    base = lx.build_generator(gaussian, grid)
-    tilted = lx.build_tilted_generator(gaussian, grid, 0.0)
-    assert np.array_equal(base.matrix, tilted.matrix)
-    assert tilted.tag == "base"
+    ops = DiffusionOperators(gaussian, 32)
+    assert ops.operator(0.0) is ops.stencil
+    assert np.array_equal(ops.tilted(0.0), ops.stencil.dense())
 
 
 def test_tilt_diagonal_shift(gaussian):
-    grid = lx.PeriodicGrid(32)
+    ops = DiffusionOperators(gaussian, 32)
     theta = 1.5
-    G = lx.build_tilted_generator(gaussian, grid, theta)
-    A = lx.build_generator(gaussian, grid)
-    assert np.allclose(G.matrix - A.matrix, np.eye(32) * theta**2 / 2, atol=1e-14)
+    assert np.allclose(ops.tilted(theta) - ops.stencil.dense(), np.eye(32) * theta**2 / 2,
+                       atol=1e-14)
     # top eigenvalue mu(theta) = theta^2/2 via the diagonal shift of A's kernel
-    triple = lx.top_eigen(G)
-    assert abs(triple.mu - theta**2 / 2) < 1e-10
+    assert abs(ops.eigendata(theta).value - theta**2 / 2) < 1e-10
 
 
 def test_nyquist_rejects_coarse_grid():
@@ -100,7 +94,7 @@ def test_nyquist_rejects_coarse_grid():
                               obs_drift_b=fields.harmonic("cos", 5),
                               obs_noise_sigma=fields.constant(1.0))
     with pytest.raises(GridResolutionError):
-        lx.build_generator(spec, lx.PeriodicGrid(16))
+        DiffusionOperators(spec, 16)
 
 
 def test_peclet_rejects_overwhelming_drift():
@@ -108,7 +102,7 @@ def test_peclet_rejects_overwhelming_drift():
                               drift_v0=fields.harmonic("sin", 1, amplitude=-3.0),
                               obs_drift_b=fields.zero(), obs_noise_sigma=fields.constant(1.0))
     with pytest.raises(GridResolutionError):
-        lx.build_generator(spec, lx.PeriodicGrid(8))
+        DiffusionOperators(spec, 8)
 
 
 def test_grid_invariants():
@@ -118,14 +112,8 @@ def test_grid_invariants():
         lx.PeriodicGrid(9)
 
 
-def test_semigroup_identity():
-    G = lx.GeneratorMatrix(matrix=np.zeros((8, 8)), z=0.0, tag="base", grid=lx.PeriodicGrid(8))
-    assert np.array_equal(lx.semigroup_step(G, 1.0), np.eye(8))
-
-
 def test_semigroup_stochastic_rows(gradient_drift):
-    A = lx.build_generator(gradient_drift, lx.PeriodicGrid(64))
-    P = lx.semigroup_step(A, 0.7)
+    P = sla.expm(0.7 * DiffusionOperators(gradient_drift, 64).tilted(0.0))
     assert np.max(np.abs(P @ np.ones(64) - 1.0)) < 1e-10
     assert P.min() > 0.0  # positivity of the elliptic semigroup
 
@@ -138,21 +126,13 @@ def test_semigroup_property_random_generators(m, seed, s, t):
     np.fill_diagonal(M, 0.0)
     M[np.arange(m), np.arange(m)] = -M.sum(axis=1)
     M = M + np.diag(1j * rng.uniform(-1, 1, m))  # complex tilted diagonal
-    import scipy.linalg as sla
     left = sla.expm((s + t) * M)
     right = sla.expm(s * M) @ sla.expm(t * M)
     assert np.max(np.abs(left - right)) < 1e-10
 
 
-def test_semigroup_overflow_guard(gaussian):
-    G = lx.build_tilted_generator(gaussian, lx.PeriodicGrid(16), 8.0)
-    with pytest.raises(SemigroupOverflowError, match="split"):
-        lx.semigroup_step(G, 30.0)  # t * theta^2/2 = 960 > 700
-
-
 def test_positivity_of_tilted_semigroup(mathieu):
-    G = lx.build_tilted_generator(mathieu, lx.PeriodicGrid(64), 1.0)
-    M = lx.semigroup_step(G, 1.0)
+    M = sla.expm(1.0 * DiffusionOperators(mathieu, 64).tilted(1.0))
     assert M.min() > 0.0
 
 
@@ -183,7 +163,6 @@ def test_grid_convergence_mathieu(mathieu):
 
 @pytest.mark.parametrize("n", [8, 64, 256])
 def test_cyclic_solver_matches_dense_lu(gradient_drift, n):
-    import scipy.linalg as sla
     ops = operators_for(gradient_drift, n)
     theta = 0.7
     op = ops.operator(theta)
@@ -347,7 +326,6 @@ class _CountingOperator:
 
 def _count_lapack(monkeypatch):
     """Count the ?gttrf and ?gttrs calls of every banded factor and solve."""
-    import scipy.linalg as sla
     counts = {"gttrf": 0, "gttrs": 0}
     real_get = sla.get_lapack_funcs
 

@@ -7,6 +7,7 @@ from scipy.special import comb
 from scipy.stats import norm
 
 import ldp_expand as lx
+from ldp_expand.discretize import DiffusionOperators
 from ldp_expand.errors import (AdmissibilityError, AdmissibleRangeError,
                                ConvergenceError, FitError, SemigroupOverflowError)
 from ldp_expand.expansion import TailCurve
@@ -106,7 +107,7 @@ def test_leading_coefficient_boundary_warning(gaussian, frame):
 
 def test_leading_coefficient_nonreversible_flag(frame):
     spec = lx.gradient_drift_model()
-    rho = lx.invariant_density(lx.build_generator(spec, lx.PeriodicGrid(128)))
+    rho = lx.invariant_density(DiffusionOperators(spec, 128).stencil)
     centered = lx.center_observable(spec, rho.rho)
     with pytest.warns(UserWarning, match="non-self-adjoint"):
         lx.leading_coefficient(centered, frame, 0.2, n=128)

@@ -25,10 +25,10 @@ def test_harmonic_matches_closed_form():
 
 def test_fourier_field_mean_and_shift():
     f = fields.FourierField(const=1.0, cos=(0.5,), sin=(0.0, 0.25))
-    assert f.uniform_mean() == 1.0
+    assert f.const == 1.0
     assert f.max_harmonic == 2
     shifted = f.shifted(-1.0)
-    assert shifted.uniform_mean() == 0.0
+    assert shifted.const == 0.0
     x = np.linspace(0, 1, 11)
     assert np.allclose(shifted(x), f(x) - 1.0)
 
@@ -46,10 +46,15 @@ def test_tabulated_interpolation_periodicity():
 
 
 def test_field_config_round_trip():
-    for f in (fields.constant(2.0), fields.harmonic("cos", 1),
-              fields.FourierField(const=0.1, cos=(1.0,), sin=(0.0, -0.5)),
-              fields.TabulatedField(tuple(np.arange(8) * 0.1))):
-        back = fields.field_from_config(fields.field_to_config(f))
+    cases = (({"type": "constant", "value": 2.0}, fields.constant(2.0)),
+             ({"type": "fourier", "const": 0.0, "cos": [1.0], "sin": []},
+              fields.harmonic("cos", 1)),
+             ({"type": "fourier", "const": 0.1, "cos": [1.0], "sin": [0.0, -0.5]},
+              fields.FourierField(const=0.1, cos=(1.0,), sin=(0.0, -0.5))),
+             ({"type": "tabulated", "values": list(np.arange(8) * 0.1)},
+              fields.TabulatedField(tuple(np.arange(8) * 0.1))))
+    for config, f in cases:
+        back = fields.field_from_config(config)
         x = np.linspace(0, 1, 13)
         assert np.allclose(back(x), f(x), atol=1e-14)
 

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import ldp_expand as lx
 from ldp_expand import fields
+from ldp_expand.discretize import DiffusionOperators
 from ldp_expand.errors import ModelValidationError
 from ldp_expand.model import DiscreteChainSpec, EvaluationFrame, TorusDiffusionSpec
 
@@ -118,4 +119,4 @@ def test_dim2_is_rejected():
     report = lx.validate_spec(spec)
     assert not report.ok and any("dim must be 1" in v for v in report.violations)
     with pytest.raises(ModelValidationError, match="dim must be 1"):
-        lx.build_generator(spec, lx.PeriodicGrid(16))
+        DiffusionOperators(spec, 16)

@@ -16,22 +16,24 @@ MATHIEU_MU2_1 = 1.0503246730779
 
 
 def test_stationary_triple(gaussian):
-    triple = lx.spectral_triple(gaussian, 0.0, n=64)
-    assert abs(triple.mu) < 1e-12
-    assert np.allclose(triple.g, 1.0, atol=1e-10)
-    rho = lx.invariant_density(lx.build_generator(gaussian, lx.PeriodicGrid(64))).rho
-    assert np.max(np.abs(triple.psi - rho)) < 1e-8
-    assert triple.gap > 0
-    assert triple.residual < 1e-10
+    ops = operators_for(gaussian, 64)
+    ed = ops.eigendata(0.0)
+    assert abs(ed.value) < 1e-12
+    assert np.allclose(ed.g, 1.0, atol=1e-10)
+    rho = lx.invariant_density(ops.stencil).rho
+    assert np.max(np.abs(ed.psi - rho)) < 1e-8
+    assert ed.gap > 0
+    assert ed.residual < 1e-10
 
 
 def test_triple_normalizations(mathieu):
-    triple = lx.spectral_triple(mathieu, 1.0, n=256)
-    assert abs(np.max(triple.g) - 1.0) < 1e-14
-    assert triple.g.min() > 0
-    assert abs(np.sum(triple.psi * triple.g) * triple.weight - 1.0) < 1e-12
-    assert triple.residual < 1e-10
-    proj = triple.projector()
+    ops = operators_for(mathieu, 256)
+    ed = ops.eigendata(1.0)
+    assert abs(np.max(ed.g) - 1.0) < 1e-14
+    assert ed.g.min() > 0
+    assert abs(np.sum(ed.psi * ed.g) * ops.weight - 1.0) < 1e-12
+    assert ed.residual < 1e-10
+    proj = np.outer(ed.g, ed.psi) * ops.weight
     assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 
@@ -108,19 +110,19 @@ def test_noisy_chain_derivatives_match_closed_form(theta):
 
 def test_check_b3_gaussian_value(gaussian):
     s = 2 * np.pi
-    [(s_out, margin)] = lx.check_b3(gaussian, 1.0, [s], n=64)
+    [(s_out, margin)] = sp.b3_margins(operators_for(gaussian, 64), 1.0, [s])
     assert s_out == s
     assert abs(margin - s * s / 2) < 1e-9
 
 
 def test_check_b3_rejects_zero():
     with pytest.raises(ValueError):
-        lx.check_b3(lx.gaussian_baseline(), 1.0, [0.0], n=64)
+        sp.b3_margins(operators_for(lx.gaussian_baseline(), 64), 1.0, [0.0])
 
 
 def test_check_b3_mathieu_golden(mathieu):
     golden = {1.0: 0.525189409987, 5.0: 13.147241698, 20.0: 209.710223433}
-    for s, margin in lx.check_b3(mathieu, 1.0, list(golden), n=256):
+    for s, margin in sp.b3_margins(operators_for(mathieu, 256), 1.0, list(golden)):
         assert margin > 0
         assert abs(margin - golden[s]) < 1e-6
 
