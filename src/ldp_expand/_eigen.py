@@ -6,10 +6,10 @@ quotient so that cumulant curves are smooth to near machine precision.
 ``rqi_pair`` is the one two-sided Rayleigh-quotient iteration; it runs on
 any operator with products from both sides and shifted solves (the banded
 tilted generators), and the dense polish reuses its step with an LU solver.
-A step factors the operator once at its shift and gets both directions from
-``two_sided_solve`` (on the banded operator one two-column ?gttrs call per
-side, the corner vector riding along as the first column); the product M g
-it forms for the Rayleigh quotient is the next residual test's product.
+A step factors the operator once at its shift and solves both directions
+with that factor (``shifted_solver``; on the banded operator one two-column
+?gttrs call per side); the product M g it forms for the Rayleigh quotient
+is the next residual test's product.
 ``krylov_expm_entry`` evaluates one entry of the full transform
 exp(t (M - shift)) v on the same operators.  ``spectrum`` gives the
 eigenvalues alone, and ``top_gap`` / ``refuse_degenerate`` the gap rule of
@@ -142,18 +142,14 @@ class _DenseSolver:
         lu = sla.lu_factor(self.M - sigma * ident)
         return lambda r, trans=False: sla.lu_solve(lu, r, trans=int(trans))
 
-    def two_sided_solve(self, sigma, g, psi):
-        """((M - sigma)^{-1} g, (M - sigma)^{-T} psi) from one LU factor."""
-        solve = self.shifted_solver(sigma)
-        return solve(g), solve(psi, trans=True)
-
 
 def _rqi_step(op, value, g, psi):
     """One two-sided inverse-iteration step at shift ``value`` followed by
     the two-sided Rayleigh quotient; (value, g, psi, M g) of the new pair,
     or None on breakdown.  Callers enter ``quiet_singular``."""
     try:
-        g2, psi2 = op.two_sided_solve(value, g, psi)
+        solve = op.shifted_solver(value)
+        g2, psi2 = solve(g), solve(psi, trans=True)
     except (sla.LinAlgError, ValueError):
         return None
     # ndarray methods: the same reductions as np.max / np.all without the
@@ -226,8 +222,9 @@ def rqi_pair(op, g0: np.ndarray, psi0: np.ndarray, weight: float):
     from (g0, psi0).
 
     ``op`` offers ``matvec(u)`` (M u), ``rmatvec(v)`` (v M), ``scale`` (the
-    largest entry modulus), ``dtype`` and ``two_sided_solve(sigma, g, psi)``
-    ((M - sigma)^{-1} g and (M - sigma)^{-T} psi).  One ``matvec`` per step
+    largest entry modulus), ``dtype`` and ``shifted_solver(sigma)`` (one
+    factor, whose solve(r, trans=False) returns (M - sigma)^{-1} r, or
+    (M - sigma)^{-T} r with ``trans=True``).  One ``matvec`` per step
     serves both its Rayleigh quotient and the next residual test.  The
     iteration runs in the common precision of operator and seeds, so a real
     Perron branch stays real.  Returns (value, g, psi) with the largest-modulus

@@ -67,10 +67,9 @@ class CyclicTridiagonal:
         (M u)_i = lo_i u_{i-1} + diag_i u_i + up_i u_{i+1}    (indices mod n),
 
     the exact form of a torus generator and of every tilt of it.  Products
-    cost O(n).  ``shifted_solver`` and ``two_sided_solve`` factor the
-    tridiagonal part of M - sigma once (LAPACK ?gttrf) and fold the two
-    corner entries back in by Sherman-Morrison (``_ShiftedLU``), so each
-    solve is O(n)."""
+    cost O(n).  ``shifted_solver`` factors the tridiagonal part of M - sigma
+    once (LAPACK ?gttrf) and folds the two corner entries back in by
+    Sherman-Morrison (``_ShiftedLU``): each solve is one O(n) ?gttrs call."""
 
     lo: np.ndarray
     diag: np.ndarray
@@ -113,25 +112,8 @@ class CyclicTridiagonal:
     def shifted_solver(self, sigma):
         """solve(r, trans=False) returning (M - sigma)^{-1} r, or the solution
         of the transposed system (M - sigma)^T x = r with ``trans=True``.  One
-        factor serves every right-hand side; each solve is one ?gttrs call."""
-        lu = _ShiftedLU(self, sigma)
-        corners = (lu.corner(False), lu.corner(True))
-
-        def solve(r, trans=False):
-            r = np.asarray(r)
-            if np.iscomplexobj(r) and lu.dtype.kind != "c":
-                # a real factor solves the real and imaginary parts apart
-                return solve(r.real, trans) + 1j * solve(r.imag, trans)
-            return lu.fold(lu.gttrs(r.astype(lu.dtype), trans), *corners[bool(trans)], trans)
-
-        return solve
-
-    def two_sided_solve(self, sigma, g, psi):
-        """((M - sigma)^{-1} g, (M - sigma)^{-T} psi), equal to the two
-        ``shifted_solver(sigma)`` solves, from one factor and one two-column
-        ?gttrs call per side: the corner vector and the right-hand side."""
-        lu = _ShiftedLU(self, sigma)
-        return lu.solve_with_corner(g, False), lu.solve_with_corner(psi, True)
+        factor serves every right-hand side (``_ShiftedLU.solve``)."""
+        return _ShiftedLU(self, sigma).solve
 
 
 class _ShiftedLU:
@@ -168,17 +150,6 @@ class _ShiftedLU:
         self.w[0], self.w[-1] = 1.0, b / gamma
         self._gamma, self._a, self._b_gamma = gamma, a, self.w[-1]
 
-    def gttrs(self, B: np.ndarray, trans: bool) -> np.ndarray:
-        """T^{-1} B (T^{-T} B with trans), overwriting B, which must be a
-        fresh array of the factor's dtype (Fortran order for a block)."""
-        X, _ = self._gttrs(*self._lu, B, trans="T" if trans else "N", overwrite_b=True)
-        return X
-
-    def corner(self, trans: bool):
-        """(q, 1 + w^T q) with T q = u, or (p, 1 + u^T p) with T^T p = w."""
-        c = self.gttrs((self.w if trans else self.u).copy(), trans)
-        return c, self._denominator(c, trans)
-
     def _coupling(self, y, trans):
         # w^T y, or u^T y with trans
         return self._gamma * y[0] + self._a * y[-1] if trans else y[0] + self._b_gamma * y[-1]
@@ -190,15 +161,14 @@ class _ShiftedLU:
         # unit, so the solve returns the null vector q (or p) scaled up, not inf
         return denom if denom != 0 else np.finfo(float).eps
 
-    def fold(self, y: np.ndarray, c: np.ndarray, denom, trans: bool) -> np.ndarray:
-        """The solve of M - sigma (or its transpose) from the solve y of T
-        (T^T) and the corner pair (c, denom) of ``corner``."""
+    def _fold(self, y: np.ndarray, c: np.ndarray, denom, trans: bool) -> np.ndarray:
         return y - (self._coupling(y, trans) / denom) * c
 
-    def solve_with_corner(self, r: np.ndarray, trans: bool) -> np.ndarray:
+    def solve(self, r: np.ndarray, trans: bool = False) -> np.ndarray:
         """The solve of M - sigma (or its transpose) for r by one ?gttrs call
-        on the block [u | r] ([w | r] with trans); a real factor takes the
-        real and imaginary parts of a complex r as two columns."""
+        on the block [u | r] ([w | r] with trans), whose first column gives
+        the corner solve; a real factor takes the real and imaginary parts of
+        a complex r as two columns."""
         split = np.iscomplexobj(r) and self.dtype.kind != "c"
         B = np.empty((r.size, 3 if split else 2), dtype=self.dtype, order="F")
         B[:, 0] = self.w if trans else self.u
@@ -206,11 +176,11 @@ class _ShiftedLU:
             B[:, 1], B[:, 2] = r.real, r.imag
         else:
             B[:, 1] = r
-        Y = self.gttrs(B, trans)
+        Y, _ = self._gttrs(*self._lu, B, trans="T" if trans else "N", overwrite_b=True)
         c = Y[:, 0]
         denom = self._denominator(c, trans)
-        x = self.fold(Y[:, 1], c, denom, trans)
-        return x + 1j * self.fold(Y[:, 2], c, denom, trans) if split else x
+        x = self._fold(Y[:, 1], c, denom, trans)
+        return x + 1j * self._fold(Y[:, 2], c, denom, trans) if split else x
 
 
 def _next(u: np.ndarray) -> np.ndarray:
@@ -257,14 +227,16 @@ def _check_torus(spec: TorusDiffusionSpec, grid: PeriodicGrid):
 def invariant_density(A: CyclicTridiagonal | DiscreteChainSpec) -> InvariantDensity:
     """Stationary density: null vector of A^T for the stencil of a base
     (untilted) torus generator, or the left Perron vector of the transition
-    matrix of a chain."""
+    matrix of a chain.  A stencil whose rows do not sum to zero, to 64
+    rounding units of its scale, is refused."""
     if isinstance(A, DiscreteChainSpec):
         P = A.transition_matrix()
         rho = _null_density(P.T - np.eye(A.n_states), scale=1.0)
         residual = float(np.max(np.abs(P.T @ rho - rho)))
         rho = rho / rho.sum()
         return InvariantDensity(rho=rho, residual=residual, weight=1.0)
-    if not isinstance(A, CyclicTridiagonal):
+    if not (isinstance(A, CyclicTridiagonal)
+            and np.abs(A.diag + A.up + A.lo).max() <= 64 * np.finfo(float).eps * A.scale):
         raise ModelValidationError("invariant density needs the base (untilted) generator")
     rho = _stencil_null_density(A)
     weight = 1.0 / A.n
@@ -396,10 +368,11 @@ class DiffusionOperators:
         self.stencil = generator_stencil(spec, self.grid)
         self._rho: InvariantDensity | None = None
         self._eigen: dict[complex, EigenData] = {}
-        self._mu_lite: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
+        # the Perron branch, theta -> {s: (value, g, psi)} of G(theta + i s):
+        # the real pair at s = 0, stored real, and the saddle line continued
+        # from it; the order of the tilts breaks ``_nearest_lite``'s ties
+        self._lines: dict[float, dict[float, tuple]] = {}
         self._mgf_cache: dict = {}
-        # top-pair continuation along saddle lines: theta -> {s: (value, g, psi)}
-        self._top_lines: dict[float, dict[float, tuple]] = {}
         self._top_cert: dict = {}
         # certifications, and saddle-line nodes the single mode does not
         # cover, whose Krylov transform fell back to the dense nmgf
@@ -458,7 +431,7 @@ class DiffusionOperators:
         self._envelope[theta] = float(np.max(w.real))
         top, gap = top_gap(w)
         refuse_degenerate(w, gap, w[top])
-        pair = self._mu_lite.get(theta) or self._ladder(theta)
+        pair = self._lines[theta][0.0] if theta in self._lines else self._ladder(theta)
         if pair is None or not abs(pair[0] - w[top]) < 0.5 * gap:
             return self._dense_centre(theta)
         mu, g, psi = pair
@@ -474,11 +447,12 @@ class DiffusionOperators:
 
     def _dense_centre(self, theta: float) -> EigenData:
         """The dense ``top_eigen_data`` at a real tilt, which also replaces
-        the continued pair there."""
+        the continued pair there and drops the saddle line continued from
+        it, so the line restarts from the dense pair."""
         ed = top_eigen_data(self.tilted(theta), weight=self.weight, sort="real", positive=True)
         self.dense_centres.add(theta)
         self._eigen[theta] = ed
-        self._mu_lite[theta] = (float(np.real(ed.value)), ed.g, ed.psi)
+        self._lines[theta] = {0.0: (float(np.real(ed.value)), ed.g, ed.psi)}
         return ed
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -486,15 +460,15 @@ class DiffusionOperators:
         continuation on the tridiagonal operator along a theta ladder, dense
         eigensolve as fallback."""
         theta = float(theta)
-        hit = self._mu_lite.get(theta) or self._ladder(theta)
+        hit = self._lines[theta][0.0] if theta in self._lines else self._ladder(theta)
         if hit is None:
             self._dense_centre(theta)
-            hit = self._mu_lite[theta]
+            hit = self._lines[theta][0.0]
         return hit
 
     def _ladder(self, theta: float):
-        """The pair at theta continued from the nearest cached tilt, in rungs
-        at most _WARM_RADIUS apart, each cached; None when a rung fails."""
+        """The pair at theta continued from the nearest stored tilt, in rungs
+        at most _WARM_RADIUS apart, each stored; None when a rung fails."""
         near_theta, seed = self._nearest_lite(theta)
         while abs(near_theta - theta) > 1e-15:
             gap_th = theta - near_theta
@@ -503,7 +477,7 @@ class DiffusionOperators:
             seed = self._rqi(rung, seed)
             if seed is None:
                 return None
-            self._mu_lite[rung] = seed
+            self._lines[rung] = {0.0: seed}
             near_theta = rung
         return seed
 
@@ -513,11 +487,11 @@ class DiffusionOperators:
         return self.perron(theta)[0]
 
     def _nearest_lite(self, theta: float):
-        if not self._mu_lite:
+        if not self._lines:
             # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
-            self._mu_lite[0.0] = (0.0, np.ones(self.grid.n), self.rho.rho.copy())
-        best_th = min(self._mu_lite, key=lambda th: abs(th - theta))
-        return best_th, self._mu_lite[best_th]
+            self._lines[0.0] = {0.0: (0.0, np.ones(self.grid.n), self.rho.rho.copy())}
+        best_th = min(self._lines, key=lambda th: abs(th - theta))
+        return best_th, self._lines[best_th][0.0]
 
     def _rqi(self, theta: float, seed) -> tuple[float, np.ndarray, np.ndarray] | None:
         """Two-sided Rayleigh-quotient iteration toward the Perron pair of
@@ -535,9 +509,9 @@ class DiffusionOperators:
         return (float(mu), g, psi)
 
     # -- moment generating data ---------------------------------------------
-    def nmgf(self, z: complex, ts: np.ndarray, frame: EvaluationFrame, mu_ref: float) -> np.ndarray:
-        """Normalized transform values  E_x0[e^{z Y_t}] * exp(-t mu_ref)  for
-        each t, via one cached eigendecomposition of G(z) per tilt."""
+    def nmgf(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float) -> complex:
+        """Normalized transform  E_x0[e^{z Y_t}] * exp(-t mu_ref), via one
+        cached eigendecomposition of G(z) per tilt."""
         key = (complex(z), frame.cache_key())
         hit = self._mgf_cache.get(key)
         if hit is None:
@@ -550,8 +524,7 @@ class DiffusionOperators:
             hit = (w, c)
             self._mgf_cache[key] = hit
         w, c = hit
-        ts = np.asarray(ts, dtype=float)
-        return np.array([np.sum(c * np.exp((w - mu_ref) * t)) for t in ts])
+        return np.sum(c * np.exp((w - mu_ref) * t))
 
     def nmgf_krylov(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float,
                     rtol: float, peak: float = 0.0):
@@ -566,18 +539,20 @@ class DiffusionOperators:
 
     def top_pair(self, theta: float, s: float):
         """Dominant eigen pair of G(theta + i s), continued in s from the real
-        Perron pair by two-sided Rayleigh-quotient iteration; None when the
-        continuation fails to converge."""
+        Perron pair by two-sided Rayleigh-quotient iteration (the real pair
+        itself, cast complex, at s = 0); None when the continuation fails to
+        converge."""
         theta, s = float(theta), float(s)
-        line = self._top_lines.setdefault(theta, {})
+        line = self._lines.get(theta)
+        if line is None:
+            # perron stores no line at a tilt within 1e-15 of a stored one
+            line = self._lines.setdefault(theta, {0.0: self.perron(theta)})
+        if s == 0.0:
+            mu0, g0, psi0 = line[0.0]
+            return complex(mu0), g0.astype(complex), psi0.astype(complex)
         hit = line.get(s)
         if hit is not None:
             return hit
-        if not line:
-            mu0, g0, psi0 = self.perron(theta)
-            line[0.0] = (complex(mu0), g0.astype(complex), psi0.astype(complex))
-            if s == 0.0:
-                return line[0.0]
         near = min(line, key=lambda sv: abs(sv - s))
         _, g_seed, psi_seed = line[near]
         pair = rqi_pair(self.operator(complex(theta, s)), g_seed, psi_seed, self.weight)
@@ -586,7 +561,7 @@ class DiffusionOperators:
         line[s] = pair
         return pair
 
-    def nmgf_top(self, z: complex, ts, frame: EvaluationFrame, mu_ref: float):
+    def nmgf_top(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float):
         """Single-mode transform  c_top exp((lambda_top - mu_ref) t); valid
         once the sub-dominant remainder is certified negligible.  None when
         the continuation fails."""
@@ -596,8 +571,7 @@ class DiffusionOperators:
             return None
         value, g, psi = pair
         c = frame.ell_pi_v(g, psi, self.weight)
-        ts = np.asarray(ts, dtype=float)
-        return np.array([c * np.exp((value - mu_ref) * t) for t in ts])
+        return c * np.exp((value - mu_ref) * t)
 
     def certify_top_mode(self, theta: float, t: float, frame: EvaluationFrame,
                          tol: float, s_probes) -> bool:
@@ -621,7 +595,7 @@ class DiffusionOperators:
             value = self.nmgf_krylov(complex(theta, s), t, frame, mu_ref, 1e-3 * tol, peak)
             if value is None:
                 self.certify_fallbacks += 1
-                value = self.nmgf(complex(theta, s), (t,), frame, mu_ref)[0]
+                value = self.nmgf(complex(theta, s), t, frame, mu_ref)
             return value
 
         at_zero = full_at(0.0, 0.0)
@@ -630,8 +604,8 @@ class DiffusionOperators:
             return False
         for s in s_probes:
             s = float(s)
-            top = self.nmgf_top(complex(theta, s), (t,), frame, mu_ref)
-            if top is None or abs(top[0] - (full_at(s, peak) if s else at_zero)) > tol * peak:
+            top = self.nmgf_top(complex(theta, s), t, frame, mu_ref)
+            if top is None or abs(top - (full_at(s, peak) if s else at_zero)) > tol * peak:
                 self._top_cert[key] = (t, False)
                 return False
         self._top_cert[key] = (t, True)
@@ -702,24 +676,14 @@ class ChainOperators:
         base = float(self.m[0])
         return (lattice_span(self.m, base), base)
 
-    def nmgf(self, z: complex, ns: np.ndarray, frame: EvaluationFrame, mu_ref: float) -> np.ndarray:
-        """Normalized transform  E_x0[e^{z S_n}] * lambda(theta)^{-n} over step
-        counts, by repeated application of T(z) / e^{mu_ref}."""
+    def nmgf(self, z: complex, n: int, frame: EvaluationFrame, mu_ref: float) -> complex:
+        """Normalized transform  E_x0[e^{z S_n}] * e^{-n mu_ref}  after n
+        steps, by repeated application of T(z) / e^{mu_ref}."""
         T = self.tilted(z) * np.exp(-mu_ref)
-        i0 = frame.index_on(self.n_states)
         u = frame.vector_on(self.n_states).astype(complex)
-        ns = np.asarray(ns, dtype=int)
-        out = np.empty(ns.size, dtype=complex)
-        want: dict[int, list[int]] = {}
-        for k, n in enumerate(ns):
-            want.setdefault(int(n), []).append(k)
-        for k in want.get(0, ()):
-            out[k] = u[i0]
-        for step in range(1, int(ns.max(initial=0)) + 1):
+        for _ in range(n):
             u = T @ u
-            for k in want.get(step, ()):
-                out[k] = u[i0]
-        return out
+        return u[frame.index_on(self.n_states)]
 
 
 def lattice_span(values, base: float) -> float:

@@ -85,16 +85,13 @@ class TestFunction:
     """Closed-form window from the admissible catalog.
 
     ``decay_alpha`` is the left-exponential order: use at level a requires
-    decay_alpha > theta_a.  ``smoothness`` and ``moment_order`` are class
-    metadata for the weighted-window spaces.
+    decay_alpha > theta_a.
     """
 
     kind: str
     params: tuple[float, ...]
     amplitude: float = 1.0
-    smoothness: float = np.inf
     decay_alpha: float = np.inf
-    moment_order: int = 2
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -142,7 +139,7 @@ def gaussian_window(center: float = 0.0, width: float = 1.0, amplitude: float = 
 def one_sided_exponential(beta: float, amplitude: float = 1.0) -> TestFunction:
     """e^{-beta x} on x >= 0; discontinuous at 0, left-exponential of order beta."""
     return TestFunction(kind="one_sided_exp", params=(float(beta),),
-                        amplitude=float(amplitude), smoothness=0, decay_alpha=float(beta))
+                        amplitude=float(amplitude), decay_alpha=float(beta))
 
 
 def bump_window(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> TestFunction:
@@ -164,7 +161,7 @@ def mgf(spec: ModelSpec, frame: EvaluationFrame, z: complex, t: float, *,
     t = _check_time(ops, t)
     z = complex(z)
     mu_ref = ops.mu(z.real)
-    val = complex(ops.nmgf(z, (t,), frame, mu_ref)[0])
+    val = complex(ops.nmgf(z, t, frame, mu_ref))
     if val == 0:
         raise ConvergenceError("transform value underflowed to zero")
     log_m = np.log(val) + t * mu_ref
@@ -319,15 +316,15 @@ def _saddle_integral(ops, frame, rp: RatePoint, t, weight, rel_tol) -> float:
 
     def normalized(z: complex) -> complex:
         if use_top:
-            top = ops.nmgf_top(z, (t,), frame, mu_theta)
+            top = ops.nmgf_top(z, t, frame, mu_theta)
             if top is not None:
-                return top[0]
+                return top
         elif krylov:
             nm = ops.nmgf_krylov(z, t, frame, mu_theta, 1e-3 * rel_tol, peak)
             if nm is not None:
                 return nm
             ops.quadrature_fallbacks += 1
-        return ops.nmgf(z, (t,), frame, mu_theta)[0]
+        return ops.nmgf(z, t, frame, mu_theta)
 
     def F(s: float) -> complex:
         val = cache.get(s)
@@ -383,7 +380,7 @@ def _lattice_tail(ops, frame, rp: RatePoint, n_steps: int, rel_tol) -> float:
         val = cache.get(s)
         if val is None:
             z = complex(theta, s)
-            nm = ops.nmgf(z, (n_steps,), frame, mu_theta)[0]
+            nm = ops.nmgf(z, n_steps, frame, mu_theta)
             val = nm * np.exp(-1j * s * m_star) / (1.0 - np.exp(-z * span))
             cache[s] = val
         return val

@@ -56,11 +56,20 @@ def test_invariant_density_rejects_reducible_chain():
 def test_banded_density_matches_dense_null_vector(request, model, n):
     from ldp_expand.discretize import _null_density
     op = DiffusionOperators(request.getfixturevalue(model), n).stencil
+    # a base stencil's rows sum to zero far inside the refusal bound of 64
+    # rounding units of its scale
+    assert np.max(np.abs(op.matvec(np.ones(n)))) <= 4 * np.finfo(float).eps * op.scale
     dens = lx.invariant_density(op)
     ref = _null_density(op.dense().T, scale=op.scale)
     ref = ref / (ref.sum() / n)
     assert np.max(np.abs(dens.rho - ref)) < 1e-12
     assert dens.residual == np.max(np.abs(op.rmatvec(dens.rho)))
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.5])
+def test_invariant_density_refuses_a_tilted_stencil(mathieu, theta):
+    with pytest.raises(ModelValidationError, match="untilted"):
+        lx.invariant_density(DiffusionOperators(mathieu, 64).operator(theta))
 
 
 def test_banded_density_rejects_two_dimensional_null_space():
@@ -259,7 +268,7 @@ def test_cyclic_solver_at_an_eigenvalue_returns_its_vector(mathieu):
 
 
 def _pair_solve_case(ops, case):
-    """(operator, shift, g, psi) of one ``two_sided_solve`` parity case."""
+    """(operator, shift, g, psi) of one two-sided solve case."""
     rng = np.random.default_rng(11)
     n = ops.grid.n
     real = rng.standard_normal((2, n))
@@ -282,28 +291,41 @@ def _pair_solve_case(ops, case):
 
 @pytest.mark.parametrize("case", ["real", "complex_operator", "real_operator_complex_vectors",
                                   "at_an_eigenvalue", "pin_cancels_first_entry", "dense"])
-def test_two_sided_solve_equals_the_two_shifted_solves(mathieu, case):
+def test_two_sided_solve_equals_the_two_shifted_solves(mathieu, monkeypatch, case):
+    """The two solves of an inverse-iteration step, (M - sigma)^{-1} g and
+    (M - sigma)^{-T} psi from one ``shifted_solver`` factor, to backward
+    error 1e-13 against the dense matrix, in the dtype of operator and
+    vector."""
     from ldp_expand._eigen import _DenseSolver
     from ldp_expand.discretize import _ShiftedLU
     ops = operators_for(mathieu, 256)
+    op, sigma, g, psi = _pair_solve_case(ops, "complex_operator" if case == "dense" else case)
+    A = op.dense() - sigma * np.eye(ops.grid.n)
+    dtype = np.result_type(op.dtype, g)
     if case == "dense":
-        op, sigma, g, psi = _pair_solve_case(ops, "complex_operator")
         op = _DenseSolver(op.dense())
-    else:
-        op, sigma, g, psi = _pair_solve_case(ops, case)
-    if case == "at_an_eigenvalue":
-        # both Sherman-Morrison denominators vanish and take the eps guard
-        lu = _ShiftedLU(op, sigma)
-        for trans in (False, True):
-            assert lu.corner(trans)[1] == np.finfo(float).eps
     if case == "pin_cancels_first_entry":
         assert op.diag[0] == 0.0
-    x, y = op.two_sided_solve(sigma, g, psi)
+    denominators = []
+    real_denominator = _ShiftedLU._denominator
+
+    def recorded(lu, c, trans):
+        denominators.append(real_denominator(lu, c, trans))
+        return denominators[-1]
+
+    monkeypatch.setattr(_ShiftedLU, "_denominator", recorded)
     solve = op.shifted_solver(sigma)
-    assert np.array_equal(x, solve(g))
-    assert np.array_equal(y, solve(psi, trans=True))
-    assert x.dtype == solve(g).dtype and y.dtype == solve(psi, trans=True).dtype
+    x, y = solve(g), solve(psi, trans=True)
+    assert x.dtype == dtype and y.dtype == dtype
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    if case == "at_an_eigenvalue":
+        # both Sherman-Morrison denominators of the corner column vanish and
+        # take the eps guard; the solves are then multiples of the pair
+        assert denominators == [np.finfo(float).eps] * 2
+        return
+    for At, sol, rhs in ((A, x, g), (A.T, y, psi)):
+        backward = np.max(np.abs(At @ sol - rhs)) / (np.max(np.abs(At)) * np.max(np.abs(sol)))
+        assert backward < 1e-13, backward
 
 
 class _CountingOperator:
@@ -358,11 +380,11 @@ def test_banded_rqi_step_and_pair_kernel_counts(mathieu, monkeypatch, z):
         assert _eigen._rqi_step(op, value, *seed) is not None
     # one factor and one two-column solve per side
     assert counts == {"gttrf": 1, "gttrs": 2}
-    assert op.calls == {"two_sided_solve": 1, "matvec": 1}
+    assert op.calls == {"shifted_solver": 1, "matvec": 1}
     counts.update(gttrf=0, gttrs=0)
     op = _CountingOperator(ops.operator(z))
     assert _eigen.rqi_pair(op, *seed, ops.weight) is not None
-    steps = op.calls["two_sided_solve"]
+    steps = op.calls["shifted_solver"]
     assert steps >= 2
     # the seed's product, then one per step: the residual test reuses it
     assert op.calls["matvec"] == 1 + steps
@@ -383,6 +405,29 @@ def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
     assert abs(spectral_mu_prime(ops, 0.3 + 1e-10) - spectral_mu_prime(dense, 0.3 + 1e-10)) < 5e-13
 
 
+def test_a_dense_centre_reseeds_its_saddle_line(mathieu, monkeypatch):
+    from ldp_expand._eigen import spectrum, top_gap
+    _, gap = top_gap(spectrum(DiffusionOperators(mathieu, 64).tilted(0.5)))
+    real = DiffusionOperators._rqi
+
+    def off_branch(self, theta, seed):
+        # the continued pair at 0.5 comes back 0.6 gap below the top
+        mu, g, psi = real(self, theta, seed)
+        return (mu - 0.6 * gap if theta == 0.5 else mu), g, psi
+
+    monkeypatch.setattr(DiffusionOperators, "_rqi", off_branch)
+    ops = DiffusionOperators(mathieu, 64)
+    ops.top_pair(0.5, 0.0)
+    ops.top_pair(0.5, 2.0)
+    ops.eigendata(0.5)
+    assert ops.dense_centres == {0.5}
+    # the saddle line at 0.5 restarts from the dense centre's pair
+    assert ops.top_pair(0.5, 0.0)[0] == complex(ops.perron(0.5)[0])
+    ref = DiffusionOperators(mathieu, 64)
+    ref._dense_centre(0.5)
+    assert ops.top_pair(0.5, 2.0)[0] == ref.top_pair(0.5, 2.0)[0]
+
+
 @pytest.mark.parametrize("model, n", [("mathieu", 256), ("gaussian", 64), ("gradient_drift", 128)])
 def test_krylov_transform_matches_dense_nmgf(request, frame, model, n):
     from ldp_expand._eigen import krylov_expm_entry
@@ -391,8 +436,8 @@ def test_krylov_transform_matches_dense_nmgf(request, frame, model, n):
     mu = ops.mu(theta)
     i0, v = frame.index_on(n), frame.vector_on(n)
     for t in (0.2, 0.5, 1.0, 2.0, 30.0):
-        peak = abs(ops.nmgf(theta, (t,), frame, mu)[0])
+        peak = abs(ops.nmgf(theta, t, frame, mu))
         for s in (0.0, 1.0, 3.0):
             z = complex(theta, s)
             value = krylov_expm_entry(ops.operator(z), mu, t, i0, v, 2e-11, peak)
-            assert abs(value - ops.nmgf(z, (t,), frame, mu)[0]) < 1e-8 * peak, (t, s)
+            assert abs(value - ops.nmgf(z, t, frame, mu)) < 1e-8 * peak, (t, s)

@@ -6,6 +6,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+COUNTERS = ("discretize.perron.calls", "eigen.rqi_pair.calls", "discretize.top_pair.calls",
+            "discretize.nmgf_top.calls", "discretize.certify_top_mode.calls",
+            "expansion.transform_evals")
+
 SCRIPT = f"""
 import sys
 sys.path.insert(0, {str(PERFBENCH)!r})
@@ -13,9 +17,11 @@ import ldp_expand as lx
 import tracer
 rec = tracer.Recorder()
 tracer.install(rec)
-lx.rate_point(lx.gaussian_baseline(), 1.0, n=64)
+spec = lx.gaussian_baseline()
+lx.rate_point(spec, 1.0, n=64)
+lx.exact_tail(spec, lx.EvaluationFrame(), 1.0, 16.0, n=64)
 values = rec.snapshot()
-print(values.get("discretize.perron.calls", 0.0), values.get("eigen.rqi_pair.calls", 0.0))
+print(*(values.get(name, 0.0) for name in {COUNTERS!r}))
 """
 
 
@@ -23,5 +29,5 @@ def test_tracer_installs_and_counts_a_rate_point():
     # a subprocess, because install patches the library in place
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    perron_calls, rqi_calls = map(float, proc.stdout.split())
-    assert perron_calls > 0 and rqi_calls > 0
+    counts = dict(zip(COUNTERS, map(float, proc.stdout.split())))
+    assert all(counts.values()), counts
