@@ -2,8 +2,9 @@
 
 Commands: validate, rate, spectral, expand, simulate, verify-conditions,
 report, emit-config.  Configs are strict-schema JSON; unknown keys are
-rejected with their dotted path.  Every CSV carries a header comment with
-the config hash; the timestamp line is the only nondeterministic byte.
+rejected with their dotted path, and a flag is the config entry it names.
+Every CSV carries a header comment with the hash of the effective config;
+the timestamp line is the only nondeterministic byte.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ DEFAULTS = {
     "expand": {"a": 1.0},
 }
 
+_METHODS = ("naive", "tilted")  # simulate.method: plain Monte Carlo or the tilted sampler
 _BUILTIN_MODELS = {
     "gaussian_baseline": model.gaussian_baseline,
     "mathieu": model.mathieu_model,
@@ -87,18 +89,13 @@ def _fill_defaults(cfg: dict) -> dict:
     for key, val in DEFAULTS.items():
         if key not in out:
             out[key] = json.loads(_canonical_json(val))  # deep copy of the default
-        elif isinstance(val, dict):
+        elif isinstance(val, dict) and isinstance(out[key], dict):
             merged = dict(val)
             merged.update(out[key])
             out[key] = merged
     return out
 
 
-_TOP_KEYS = {"model", "grid_n", "theta_max", "tol", "order", "seed", "output_dir",
-             "theta_grid", "a_grid", "t_grid", "simulate", "conditions", "expand"}
-_SIM_KEYS = {"a", "t", "dt", "n_paths", "method"}
-_COND_KEYS = {"s_grid", "t_grid"}
-_EXPAND_KEYS = {"a", "order"}
 _MODEL_KEYS_TORUS = {"kind", "grid_n", "fields", "observable", "eval_frame"}
 _MODEL_KEYS_CHAIN = {"kind", "transition", "increment_mean", "increment_var", "eval_frame"}
 
@@ -118,7 +115,7 @@ def parse_config(path: str | Path) -> RunConfig:
 def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw).difference(DEFAULTS, ["model"])
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     if "model" not in raw:
@@ -129,10 +126,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
     spec, frame, model_grid_n = _parse_model(cfg["model"])
     if model_grid_n is not None:
         grid_n = model_grid_n
-    _check_keys(cfg["simulate"], _SIM_KEYS, "simulate")
-    _check_keys(cfg["conditions"], _COND_KEYS, "conditions")
+    order = _positive_int(cfg["order"], "order")
+    simulate = _simulate_section(cfg["simulate"])
     conditions = _condition_grids(cfg["conditions"])
-    _check_keys(cfg["expand"], _EXPAND_KEYS, "expand")
+    _check_keys(cfg["expand"], [*DEFAULTS["expand"], "order"], "expand")
+    expand = {"a": _finite(cfg["expand"]["a"], "expand.a"),
+              "order": _positive_int(cfg["expand"].get("order", order), "expand.order")}
     tol = config_number(cfg["tol"], "tol")
     if not 0.0 < tol < 1.0:  # NaN and infinities fail the comparison too
         raise ConfigError(f"tol must be finite and in (0, 1), got {cfg['tol']!r}")
@@ -144,12 +143,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("model fails validation: " + "; ".join(report.violations))
     return RunConfig(
         spec=spec, frame=frame, grid_n=grid_n, theta_max=theta_max, tol=tol,
-        order=_positive_int(cfg["order"], "order"), seed=config_integer(cfg["seed"], "seed"),
+        order=order, seed=config_integer(cfg["seed"], "seed"),
         output_dir=Path(cfg["output_dir"]),
         theta_grid=_grid(cfg["theta_grid"], "theta_grid"),
         a_grid=_grid(cfg["a_grid"], "a_grid"),
         t_grid=_grid(cfg["t_grid"], "t_grid"),
-        simulate=cfg["simulate"], conditions=conditions, expand=cfg["expand"],
+        simulate=simulate, conditions=conditions, expand=expand,
         raw=cfg)
 
 
@@ -158,6 +157,23 @@ def _positive_int(value, key: str) -> int:
     if i <= 0:
         raise ConfigError(f"{key} must be positive, got {i}")
     return i
+
+
+def _finite(value, key: str) -> float:
+    x = config_number(value, key)
+    if not np.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return x
+
+
+def _simulate_section(obj) -> dict:
+    """simulate with typed entries; range checks are the simulator's."""
+    _check_keys(obj, DEFAULTS["simulate"], "simulate")
+    sim = {key: _finite(obj[key], f"simulate.{key}") for key in ("a", "t", "dt")}
+    sim["n_paths"] = _positive_int(obj["n_paths"], "simulate.n_paths")
+    if obj["method"] not in _METHODS:
+        raise ConfigError(f"simulate.method must be 'tilted' or 'naive', got {obj['method']!r}")
+    return {**sim, "method": obj["method"]}
 
 
 def _grid(obj, key: str) -> tuple[float, ...]:
@@ -182,6 +198,7 @@ def _grid(obj, key: str) -> tuple[float, ...]:
 
 def _condition_grids(obj: dict) -> dict:
     """The condition suite's s and t grids: finite numbers, with a nonzero s."""
+    _check_keys(obj, DEFAULTS["conditions"], "conditions")
     grids = {}
     for key in ("s_grid", "t_grid"):
         grid = _grid(obj[key], f"conditions.{key}")
@@ -193,10 +210,10 @@ def _condition_grids(obj: dict) -> dict:
     return grids
 
 
-def _check_keys(obj, allowed: set, where: str):
+def _check_keys(obj, allowed, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
 
@@ -349,8 +366,7 @@ def svg_line_plot(path: Path, x, series: dict[str, np.ndarray], *, title: str = 
 # ---------------------------------------------------------------------------
 # Commands.
 
-def run(command: str, config: RunConfig, *, force: bool = False,
-        svg: bool = False, overrides: dict | None = None) -> int:
+def run(command: str, config: RunConfig, *, force: bool = False, svg: bool = False) -> int:
     """Execute one subcommand against a parsed config; returns the exit code
     (0 success, 1 error, 2 condition-suite failure)."""
     handler = _COMMANDS.get(command)
@@ -358,7 +374,7 @@ def run(command: str, config: RunConfig, *, force: bool = False,
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 1
     try:
-        return handler(config, force=force, svg=svg, overrides=overrides or {})
+        return handler(config, force=force, svg=svg)
     except (LdpExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -377,9 +393,8 @@ def _cmd_validate(cfg: RunConfig, **_) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_rate(cfg: RunConfig, overrides: dict, **_) -> int:
-    a_grid = overrides.get("a_grid", cfg.a_grid)
-    table = rate.rate_table(cfg.spec, a_grid, n=cfg.grid_n, theta_max=cfg.theta_max)
+def _cmd_rate(cfg: RunConfig, **_) -> int:
+    table = rate.rate_table(cfg.spec, cfg.a_grid, n=cfg.grid_n, theta_max=cfg.theta_max)
     rows = [[p.a, p.theta, p.rate, p.curvature] for p in table.points]
     write_csv(cfg.output_dir / "rate.csv", "rate", cfg.config_hash(),
               ["a", "theta_a", "I", "Isecond"], rows)
@@ -402,10 +417,8 @@ def _cmd_spectral(cfg: RunConfig, **_) -> int:
     return 0
 
 
-def _cmd_expand(cfg: RunConfig, force: bool, svg: bool, overrides: dict) -> int:
-    a = float(overrides.get("a", cfg.expand.get("a", 1.0)))
-    order = int(overrides.get("order", cfg.expand.get("order", cfg.order)))
-    t_grid = overrides.get("t_grid", cfg.t_grid)
+def _cmd_expand(cfg: RunConfig, force: bool, svg: bool) -> int:
+    a, order = cfg.expand["a"], cfg.expand["order"]
     if not force:
         theta_a = rate.solve_theta(cfg.spec, a, n=cfg.grid_n, theta_max=cfg.theta_max)
         pre = verify.quick_condition_check(cfg.spec, theta_a, n=cfg.grid_n, frame=cfg.frame)
@@ -414,7 +427,7 @@ def _cmd_expand(cfg: RunConfig, force: bool, svg: bool, overrides: dict) -> int:
             print(f"error: condition pre-check failed ({failed}); rerun with --force to override",
                   file=sys.stderr)
             return 2
-    curve = expansion.tail_curve(cfg.spec, cfg.frame, a, t_grid, n=cfg.grid_n, rel_tol=cfg.tol)
+    curve = expansion.tail_curve(cfg.spec, cfg.frame, a, cfg.t_grid, n=cfg.grid_n, rel_tol=cfg.tol)
     fit = expansion.extract_coefficients(cfg.spec, cfg.frame, a, curve.t, order=order,
                                          n=cfg.grid_n, curve=curve)
     d0 = expansion.leading_coefficient(cfg.spec, cfg.frame, a, n=cfg.grid_n)
@@ -438,24 +451,15 @@ def _cmd_expand(cfg: RunConfig, force: bool, svg: bool, overrides: dict) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, overrides: dict, **_) -> int:
-    sim = dict(cfg.simulate)
-    sim.update({k: v for k, v in overrides.items() if v is not None})
-    a, t = float(sim["a"]), float(sim["t"])
-    dt, n_paths = float(sim["dt"]), int(sim["n_paths"])
-    method = sim.get("method", "tilted")
-    seed = int(overrides.get("seed", cfg.seed))
+def _cmd_simulate(cfg: RunConfig, **_) -> int:
+    method, a, t, dt, n_paths = (cfg.simulate[k] for k in ("method", "a", "t", "dt", "n_paths"))
+    estimate = simulate.estimate_tail_is if method == "tilted" else simulate.estimate_tail_mc
     start = time.perf_counter()
-    if method == "tilted":
-        est = simulate.estimate_tail_is(cfg.spec, cfg.frame, a, t, dt, n_paths, seed, n=cfg.grid_n)
-    elif method == "naive":
-        est = simulate.estimate_tail_mc(cfg.spec, cfg.frame, a, t, dt, n_paths, seed, n=cfg.grid_n)
-    else:
-        raise ConfigError(f"simulate.method must be 'tilted' or 'naive', got {method!r}")
+    est = estimate(cfg.spec, cfg.frame, a, t, dt, n_paths, cfg.seed, n=cfg.grid_n)
     wall = time.perf_counter() - start
     write_csv(cfg.output_dir / "simulate.csv", "simulate", cfg.config_hash(),
               ["method", "a", "t", "dt", "n_paths", "seed", "p_hat", "stderr", "ess", "wall_time"],
-              [[method, a, t, dt, n_paths, seed, est.p_hat, est.stderr, est.ess, wall]])
+              [[method, a, t, dt, n_paths, cfg.seed, est.p_hat, est.stderr, est.ess, wall]])
     print(f"simulate[{method}]: p_hat={est.p_hat:.6e} stderr={est.stderr:.2e} "
           f"ess={est.ess:.0f} hits={est.n_hits}")
     return 0
@@ -509,11 +513,11 @@ def _cmd_report(cfg: RunConfig, **_) -> int:
         except LdpExpandError as exc:
             # an unresolvable fit at this horizon span is reported, not fatal
             print(f"report: no coefficient fit at a={a:g}: {exc}", file=sys.stderr)
-        t_ref = float(sim["t"])
+        t_ref = sim["t"]
         p_ref = expansion.exact_tail(cfg.spec, cfg.frame, a, t_ref, n=cfg.grid_n, rel_tol=cfg.tol)
         try:
-            est = simulate.estimate_tail_is(cfg.spec, cfg.frame, a, t_ref, float(sim["dt"]),
-                                            int(sim["n_paths"]), cfg.seed, n=cfg.grid_n)
+            est = simulate.estimate_tail_is(cfg.spec, cfg.frame, a, t_ref, sim["dt"],
+                                            sim["n_paths"], cfg.seed, n=cfg.grid_n)
             p_is, p_se, ess = est.p_hat, est.stderr, est.ess
         except LdpExpandError as exc:
             print(f"report: no IS estimate at a={a:g}: {exc}", file=sys.stderr)
@@ -565,6 +569,33 @@ def _range_flags(args, var: str, spacing) -> tuple[float, ...] | None:
         raise ValueError(f"--{var}-min/--{var}-max: {exc}") from None
 
 
+# Flags that set one config entry, per command: flag -> (dotted key, argparse options).
+_ENTRY_FLAGS = {
+    "expand": {"a": ("expand.a", {"type": float}), "order": ("expand.order", {"type": int})},
+    "simulate": {"a": ("simulate.a", {"type": float}), "t": ("simulate.t", {"type": float}),
+                 "dt": ("simulate.dt", {"type": float}),
+                 "paths": ("simulate.n_paths", {"type": int}), "seed": ("seed", {"type": int}),
+                 "method": ("simulate.method", {"choices": _METHODS})},
+}
+# Range flags --VAR-min/--VAR-max/--VAR-steps, which set VAR_grid: (VAR, spacing).
+_RANGE_FLAGS = {"rate": ("a", np.linspace), "expand": ("t", np.geomspace)}
+
+
+def _with_flags(raw: dict, args) -> dict:
+    """A copy of a config with the entries the given flags name set."""
+    out = {key: dict(val) if isinstance(val, dict) else val for key, val in raw.items()}
+    if args.command in _RANGE_FLAGS:
+        var, spacing = _RANGE_FLAGS[args.command]
+        grid = _range_flags(args, var, spacing)
+        if grid is not None:
+            out[f"{var}_grid"] = [float(x) for x in grid]
+    for flag, (key, _) in _ENTRY_FLAGS.get(args.command, {}).items():
+        if getattr(args, flag) is not None:
+            section, _, name = key.rpartition(".")
+            (out[section] if section else out)[name] = getattr(args, flag)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ldp-expand",
@@ -572,29 +603,16 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        if name == "emit-config":
-            p.add_argument("--config")
-        else:
-            p.add_argument("--config", required=True)
-        if name == "rate":
-            p.add_argument("--a-min", type=float)
-            p.add_argument("--a-max", type=float)
-            p.add_argument("--a-steps", type=int)
+        p.add_argument("--config", required=name != "emit-config")
+        if name in _RANGE_FLAGS:
+            var = _RANGE_FLAGS[name][0]
+            for part, kind in (("min", float), ("max", float), ("steps", int)):
+                p.add_argument(f"--{var}-{part}", type=kind)
+        for flag, (_, options) in _ENTRY_FLAGS.get(name, {}).items():
+            p.add_argument(f"--{flag}", **options)
         if name == "expand":
-            p.add_argument("--a", type=float)
-            p.add_argument("--t-min", type=float)
-            p.add_argument("--t-max", type=float)
-            p.add_argument("--t-steps", type=int)
-            p.add_argument("--order", type=int)
             p.add_argument("--force", action="store_true")
             p.add_argument("--svg", action="store_true")
-        if name == "simulate":
-            p.add_argument("--a", type=float)
-            p.add_argument("--t", type=float)
-            p.add_argument("--dt", type=float)
-            p.add_argument("--paths", type=int)
-            p.add_argument("--seed", type=int)
-            p.add_argument("--method", choices=["naive", "tilted"])
 
     args = parser.parse_args(argv)
     if args.command is None:
@@ -605,36 +623,18 @@ def main(argv=None) -> int:
             print(json.dumps(default_config_dict(), sort_keys=True, indent=2))
             return 0
         cfg = parse_config(args.config)
+        try:
+            raw = _with_flags(cfg.raw, args)
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        if raw != cfg.raw:  # the flags' entries are checked and hashed with the file's
+            cfg = parse_config_dict(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    overrides: dict = {}
-    try:
-        if args.command == "rate":
-            grid = _range_flags(args, "a", np.linspace)
-            if grid is not None:
-                overrides["a_grid"] = grid
-        if args.command == "expand":
-            grid = _range_flags(args, "t", np.geomspace)
-            if grid is not None:
-                overrides["t_grid"] = grid
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "expand":
-        if args.a is not None:
-            overrides["a"] = args.a
-        if args.order is not None:
-            overrides["order"] = args.order
-    if args.command == "simulate":
-        for key, val in (("a", args.a), ("t", args.t), ("dt", args.dt),
-                         ("n_paths", args.paths), ("seed", args.seed), ("method", args.method)):
-            if val is not None:
-                overrides[key] = val
     return run(args.command, cfg,
-               force=getattr(args, "force", False),
-               svg=getattr(args, "svg", False), overrides=overrides)
+               force=getattr(args, "force", False), svg=getattr(args, "svg", False))
 
 
 if __name__ == "__main__":

@@ -300,8 +300,7 @@ def _null_density(MT: np.ndarray, scale: float) -> np.ndarray:
     # one inverse-iteration polish against the (numerically) singular matrix
     try:
         with quiet_singular():
-            lu = sla.lu_factor(MT - w[order[0]] * np.eye(MT.shape[0], dtype=MT.dtype))
-            cand = sla.lu_solve(lu, vec.astype(MT.dtype))
+            cand = _DenseSolver(MT).shifted_solver(w[order[0]])(vec.astype(MT.dtype))
         cand = np.real(cand)
         if np.all(np.isfinite(cand)) and np.max(np.abs(cand)) > 0:
             vec = cand
@@ -512,7 +511,7 @@ class DiffusionOperators:
     def nmgf(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float) -> complex:
         """Normalized transform  E_x0[e^{z Y_t}] * exp(-t mu_ref), via one
         cached eigendecomposition of G(z) per tilt."""
-        key = (complex(z), frame.cache_key())
+        key = (complex(z), frame)
         hit = self._mgf_cache.get(key)
         if hit is None:
             Gz = self.tilted(z)
@@ -581,7 +580,7 @@ class DiffusionOperators:
         ``krylov_expm_entry`` on the banded G(z), or from the dense ``nmgf``
         when the Krylov space does not settle (counted in
         ``certify_fallbacks``)."""
-        key = (float(theta), frame.cache_key())
+        key = (float(theta), frame)
         cached = self._top_cert.get(key)
         if cached is not None:
             ok_t, verdict = cached

@@ -123,9 +123,6 @@ class EvaluationFrame:
             raise ModelValidationError("test vector must not be identically zero")
         return v
 
-    def cache_key(self) -> tuple:
-        return (self.x0, self.v)
-
     def ell_pi_v(self, g: np.ndarray, psi: np.ndarray, weight: float):
         """ell(Pi v) = g(x0) <psi, v> weight for the spectral projector
         Pi = g psi^T weight of a right/left pair with pairing one."""

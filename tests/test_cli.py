@@ -101,6 +101,18 @@ MALFORMED = [
     ({"model": {"kind": "torus_diffusion", "observable": {
         "sigma": {"type": "fourier", "cos": 0.5}}}}, "model.observable.sigma.cos"),
 ]
+RUN_SECTION_MALFORMED = [
+    ({"simulate": {"n_paths": "many"}}, "simulate.n_paths"),
+    ({"simulate": {"method": "bogus"}}, "simulate.method"),
+    ({"simulate": {"t": "nan"}}, "simulate.t"),
+    ({"expand": {"a": "x"}}, "expand.a"),
+    ({"expand": {"order": -3}}, "expand.order"),
+]
+MALFORMED += RUN_SECTION_MALFORMED + [
+    ({"simulate": 5}, "simulate"),
+    ({"conditions": [1.0]}, "conditions"),
+    ({"expand": "x"}, "expand"),
+]
 CONDITION_GRID_CASES = [
     pytest.param({"conditions": {key: value}}, f"conditions.{key}", id=f"conditions.{key}-{name}")
     for key, value, name in (("s_grid", 5, "number"), ("s_grid", ["abc"], "word"),
@@ -138,6 +150,19 @@ def test_malformed_condition_grid_stops_verify_conditions_at_once(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert key in err
+
+
+@pytest.mark.parametrize("payload, key", [pytest.param(payload, key, id=key)
+                                          for payload, key in RUN_SECTION_MALFORMED])
+def test_malformed_run_section_stops_report_at_once(tmp_path, capsys, payload, key):
+    path = write_config(tmp_path, {**BASE, **payload, "output_dir": str(tmp_path / "out")})
+    start = time.perf_counter()
+    assert cli.main(["report", "--config", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_condition_grids_accept_the_grid_object_form(tmp_path, capsys):
@@ -389,3 +414,29 @@ def test_half_given_range_is_a_usage_error(tmp_path, capsys, command, flags, nam
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and named in err
     assert not out.exists()
+
+
+def test_a_flag_is_checked_as_the_config_entry_it_names(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(BASE, output_dir=str(out)))
+    proc = run_cli(["expand", "--config", str(path), "--order", "-3", "--force"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "expand.order" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "expand.csv").exists()
+
+
+def test_flags_are_hashed_with_the_config(tmp_path, capsys):
+    def rate_hash(path, *flags):
+        assert cli.main(["rate", "--config", str(path), *flags]) == 0
+        header = (tmp_path / "out" / "rate.csv").read_text().splitlines()[0]
+        return header.split("config_hash=")[1]
+
+    path = write_config(tmp_path, dict(BASE, output_dir=str(tmp_path / "out")))
+    assert rate_hash(path) == cli.parse_config(path).config_hash()
+    flagged = rate_hash(path, "--a-min", "0.3", "--a-max", "0.9", "--a-steps", "4")
+    assert flagged != cli.parse_config(path).config_hash()
+    same = write_config(tmp_path, dict(BASE, output_dir=str(tmp_path / "out"),
+                                       a_grid=[float(a) for a in np.linspace(0.3, 0.9, 4)]),
+                        name="grid.json")
+    assert rate_hash(same) == flagged

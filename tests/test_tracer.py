@@ -1,5 +1,6 @@
 """The benchmark's ``--trace 1`` mode wraps library functions by name; a
 deletion or rename of one of them breaks the traced run."""
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,19 @@ def test_tracer_installs_and_counts_a_rate_point():
     assert proc.returncode == 0, proc.stderr
     counts = dict(zip(COUNTERS, map(float, proc.stdout.split())))
     assert all(counts.values()), counts
+
+
+CLI_LABELS = ("cli.parse_config.s", "cli.write_csv.s", "cli.rate.s")
+
+
+def test_tracer_times_the_cli_path(tmp_path):
+    # the traced gaussian-cli run reads these labels through perfbench/cli_shim.py
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"builtin": "gaussian_baseline"}, "grid_n": 64,
+                                  "a_grid": [0.5, 1.0], "output_dir": str(tmp_path / "out")}))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "cli_shim.py"), str(trace),
+                           "rate", "--config", str(config)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(trace.read_text())
+    assert all(values.get(label, 0.0) > 0 for label in CLI_LABELS), values
