@@ -14,6 +14,7 @@ where a full spectrum or a matrix exponential is needed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
 
 DEFAULT_GRID_N = 256
+# the fixed seeds of the Perron continuation: real tilts are continued along
+# rungs 0.5 Z, saddle-line nodes along the lattice (1/8) Z in s
+_RUNG = 0.5
+_S_STEP = 0.125
 
 
 @dataclass(frozen=True)
@@ -352,8 +357,6 @@ class DiffusionOperators:
     """Tabulated fields, generator, and cached spectral data for one diffusion."""
 
     is_chain = False
-    # warm Rayleigh-quotient starts are only trusted this close to a cached tilt
-    _WARM_RADIUS = 0.75
 
     def __init__(self, spec: TorusDiffusionSpec, n: int = DEFAULT_GRID_N):
         self.spec = spec
@@ -369,7 +372,7 @@ class DiffusionOperators:
         self._eigen: dict[complex, EigenData] = {}
         # the Perron branch, theta -> {s: (value, g, psi)} of G(theta + i s):
         # the real pair at s = 0, stored real, and the saddle line continued
-        # from it; the order of the tilts breaks ``_nearest_lite``'s ties
+        # from it
         self._lines: dict[float, dict[float, tuple]] = {}
         self._mgf_cache: dict = {}
         self._top_cert: dict = {}
@@ -456,8 +459,8 @@ class DiffusionOperators:
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(mu, g, psi) of the real tilt at theta: warm Rayleigh-quotient
-        continuation on the tridiagonal operator along a theta ladder, dense
-        eigensolve as fallback."""
+        continuation on the tridiagonal operator along the fixed rungs
+        (``_ladder``), dense eigensolve as fallback."""
         theta = float(theta)
         hit = self._lines[theta][0.0] if theta in self._lines else self._ladder(theta)
         if hit is None:
@@ -466,31 +469,28 @@ class DiffusionOperators:
         return hit
 
     def _ladder(self, theta: float):
-        """The pair at theta continued from the nearest stored tilt, in rungs
-        at most _WARM_RADIUS apart, each stored; None when a rung fails."""
-        near_theta, seed = self._nearest_lite(theta)
-        while abs(near_theta - theta) > 1e-15:
-            gap_th = theta - near_theta
-            rung = (theta if abs(gap_th) <= self._WARM_RADIUS
-                    else near_theta + np.sign(gap_th) * self._WARM_RADIUS)
-            seed = self._rqi(rung, seed)
-            if seed is None:
-                return None
-            self._lines[rung] = {0.0: seed}
-            near_theta = rung
-        return seed
+        """The pair at theta continued from the rung sign(theta) 0.5
+        floor(|theta| / 0.5), itself continued from the stationary pair at
+        theta = 0 through the rungs between; every pair is stored, and
+        depends on its tilt alone.  None when a step fails."""
+        if 0.0 not in self._lines:
+            # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
+            self._lines[0.0] = {0.0: (0.0, np.ones(self.grid.n), self.rho.rho.copy())}
+        pair = self._lines[0.0][0.0]
+        for rung in (*_fixed_seeds(theta, _RUNG), theta):
+            line = self._lines.get(rung)
+            if line is None:
+                pair = self._rqi(rung, pair)
+                if pair is None:
+                    return None
+                line = self._lines[rung] = {0.0: pair}
+            pair = line[0.0]
+        return pair
 
     def mu(self, theta: float) -> float:
         """log of the time-1 Perron eigenvalue, i.e. the rightmost eigenvalue
         of G(theta)."""
         return self.perron(theta)[0]
-
-    def _nearest_lite(self, theta: float):
-        if not self._lines:
-            # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
-            self._lines[0.0] = {0.0: (0.0, np.ones(self.grid.n), self.rho.rho.copy())}
-        best_th = min(self._lines, key=lambda th: abs(th - theta))
-        return best_th, self._lines[best_th][0.0]
 
     def _rqi(self, theta: float, seed) -> tuple[float, np.ndarray, np.ndarray] | None:
         """Two-sided Rayleigh-quotient iteration toward the Perron pair of
@@ -538,26 +538,29 @@ class DiffusionOperators:
 
     def top_pair(self, theta: float, s: float):
         """Dominant eigen pair of G(theta + i s), continued in s from the real
-        Perron pair by two-sided Rayleigh-quotient iteration (the real pair
-        itself, cast complex, at s = 0); None when the continuation fails to
-        converge."""
+        Perron pair by two-sided Rayleigh-quotient iteration through the
+        points of (1/8) Z strictly between 0 and s, each stored, so a node
+        depends on (theta, s) alone (the real pair itself, cast complex, at
+        s = 0); None when the continuation fails to converge."""
         theta, s = float(theta), float(s)
-        line = self._lines.get(theta)
-        if line is None:
-            # perron stores no line at a tilt within 1e-15 of a stored one
-            line = self._lines.setdefault(theta, {0.0: self.perron(theta)})
+        if theta not in self._lines:
+            self.perron(theta)
+        line = self._lines[theta]
         if s == 0.0:
             mu0, g0, psi0 = line[0.0]
             return complex(mu0), g0.astype(complex), psi0.astype(complex)
-        hit = line.get(s)
-        if hit is not None:
-            return hit
-        near = min(line, key=lambda sv: abs(sv - s))
-        _, g_seed, psi_seed = line[near]
-        pair = rqi_pair(self.operator(complex(theta, s)), g_seed, psi_seed, self.weight)
-        if pair is None:
-            return None
-        line[s] = pair
+        pair = line.get(s)
+        if pair is not None:
+            return pair
+        pair = line[0.0]
+        for node in (*_fixed_seeds(s, _S_STEP), s):
+            hit = line.get(node)
+            if hit is None:
+                hit = rqi_pair(self.operator(complex(theta, node)), pair[1], pair[2], self.weight)
+                if hit is None:
+                    return None
+                line[node] = hit
+            pair = hit
         return pair
 
     def nmgf_top(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float):
@@ -683,6 +686,12 @@ class ChainOperators:
         for _ in range(n):
             u = T @ u
         return u[frame.index_on(self.n_states)]
+
+
+def _fixed_seeds(x: float, step: float) -> list[float]:
+    """The points of step Z strictly between 0 and x, from 0 outward: the
+    chain along which the pair at x is continued."""
+    return [math.copysign(j * step, x) for j in range(1, math.ceil(abs(x) / step))]
 
 
 def lattice_span(values, base: float) -> float:

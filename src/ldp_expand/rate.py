@@ -10,7 +10,6 @@ from .errors import AdmissibleRangeError, ConvergenceError
 from .model import ModelSpec
 from .spectral import _perturbation, spectral_mu_prime
 
-DEFAULT_THETA_MAX = 8.0
 # theta values at which mu'(theta) would overflow the semigroup scale
 THETA_HARD_CAP = 64.0
 # root-finding steps of solve_theta; bisection alone halves the bracket to
@@ -37,18 +36,21 @@ class RateTable:
     failures: tuple[tuple[float, str], ...] = ()
 
 
-def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
-                theta_max: float = DEFAULT_THETA_MAX) -> float:
+def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None) -> float:
     """Unique tilt with mu'(theta_a) = a, by secant steps safeguarded by
-    bisection on a bracket.  The admissible range is the open interval
-    (mu'(0), mu'(theta_max)), with the bracket expanded by doubling while the
-    requested level remains out of reach."""
-    ops = operators_for(spec, n)
-    a = float(a)
-    lo, hi = 0.0, float(theta_max)
+    bisection on a bracket.  The bracket starts at [0, 1] and doubles while
+    mu' at its end is at most a, up to THETA_HARD_CAP; the admissible range
+    is the open interval (mu'(0), mu'(end))."""
+    return _solve(operators_for(spec, n), float(a))[0]
+
+
+def _solve(ops, a: float) -> tuple[float, float, float]:
+    """(theta_a, mu'(theta_a), mu''(theta_a)) for ``solve_theta``, with one
+    perturbation solve at theta_a serving its checks and the curvature."""
+    lo, hi = 0.0, 1.0
     dlo = spectral_mu_prime(ops, lo)
     dhi = spectral_mu_prime(ops, hi)
-    while dhi < a and hi < THETA_HARD_CAP:
+    while dhi <= a and hi < THETA_HARD_CAP:
         hi = min(2.0 * hi, THETA_HARD_CAP)
         dhi = spectral_mu_prime(ops, hi)
     if not (dlo < a < dhi):
@@ -78,39 +80,34 @@ def solve_theta(spec: ModelSpec, a: float, *, n: int | None = None,
             break
         prev, f_prev = theta, f
         theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
-    d2 = _perturbation(ops, theta)[1]
+    d1, d2, _ = _perturbation(ops, theta)
     if d2 <= 0.0:
         raise ConvergenceError(
             f"mu''({theta:.6g}) = {d2:.3e} is not positive: convexity condition violated")
-    resid = abs(spectral_mu_prime(ops, theta) - a)
+    resid = abs(d1 - a)
     if resid > 1e-10:
         raise ConvergenceError(f"mu'(theta_a) missed a by {resid:.3e} (> 1e-10)")
-    return float(theta)
+    return float(theta), d1, d2
 
 
-def rate_point(spec: ModelSpec, a: float, *, n: int | None = None,
-               theta_max: float = DEFAULT_THETA_MAX) -> RatePoint:
+def rate_point(spec: ModelSpec, a: float, *, n: int | None = None) -> RatePoint:
     """Rate value and curvature at level a via the Legendre transform."""
     ops = operators_for(spec, n)
-    theta = solve_theta(spec, a, n=n, theta_max=theta_max)
-    mu = ops.mu(theta)
-    # solve_theta has checked that this mu'' is positive
-    d2 = _perturbation(ops, theta)[1]
-    rate = a * theta - mu
+    theta, _, d2 = _solve(ops, float(a))
+    rate = a * theta - ops.mu(theta)
     if rate < -1e-12:
         raise ConvergenceError(f"negative rate value {rate:.3e}")
     return RatePoint(a=float(a), theta=theta, rate=max(rate, 0.0), curvature=1.0 / d2)
 
 
-def rate_table(spec: ModelSpec, a_list, *, n: int | None = None,
-               theta_max: float = DEFAULT_THETA_MAX) -> RateTable:
+def rate_table(spec: ModelSpec, a_list, *, n: int | None = None) -> RateTable:
     """Elementwise rate points; per-entry admissibility failures are collected
     rather than fatal."""
     points: list[RatePoint] = []
     failures: list[tuple[float, str]] = []
     for a in a_list:
         try:
-            points.append(rate_point(spec, a, n=n, theta_max=theta_max))
+            points.append(rate_point(spec, a, n=n))
         except AdmissibleRangeError as exc:
             failures.append((float(a), str(exc)))
     return RateTable(points=tuple(points), failures=tuple(failures))

@@ -32,7 +32,6 @@ BASE = {
 def test_minimal_config_fills_documented_defaults(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, {"model": {"builtin": "gaussian_baseline"}}))
     assert cfg.grid_n == 256
-    assert cfg.theta_max == 8.0
     assert cfg.tol == 1e-6
 
 
@@ -49,6 +48,10 @@ def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="simulate"):
         cli.parse_config(write_config(tmp_path, {"model": {"builtin": "gaussian_baseline"},
                                                  "simulate": {"paths": 7}}))
+    # the tilt search has no window to set: its bracket starts at 1 and doubles
+    with pytest.raises(ConfigError, match="unknown config key.*theta_max"):
+        cli.parse_config(write_config(tmp_path, {"model": {"builtin": "gaussian_baseline"},
+                                                 "theta_max": 8.0}))
 
 
 def test_inline_torus_model_parses(tmp_path):
@@ -121,6 +124,8 @@ CONDITION_GRID_CASES = [
                              ("s_grid", {"min": 0.0, "max": float("nan"), "steps": 3}, "NaN-max"),
                              ("t_grid", 5, "number"), ("t_grid", ["abc"], "word"),
                              ("t_grid", [float("inf")], "Infinity"))]
+# theta_max is no longer a config key: each of its cases (and the None one
+# in MALFORMED) is refused as an unknown key, which names it
 MALFORMED_CASES = [pytest.param(payload, key, id=key) for payload, key in MALFORMED] + [
     pytest.param({"theta_max": value}, "theta_max", id=f"theta_max-{name}")
     for value, name in ((float("nan"), "NaN"), ("nan", "nan-string"),
@@ -264,6 +269,20 @@ def test_spectral_gap_on_a_chain_is_the_per_step_b2_gap(tmp_path):
 def test_validate_exit_codes(tmp_path):
     ok = dict(BASE, output_dir=str(tmp_path / "v1"))
     assert run_cli(["validate", "--config", str(write_config(tmp_path, ok))]).returncode == 0
+    # a zero transition entry is a warning: exit 0, with the warning row
+    sparse = {"model": dict(CHAIN, transition=[[0.0, 1.0], [0.5, 0.5]]),
+              "output_dir": str(tmp_path / "v2")}
+    proc = run_cli(["validate", "--config", str(write_config(tmp_path, sparse))])
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "v2" / "validate.csv").read_text().splitlines()
+    assert any(row.startswith("warning,") for row in rows), rows
+    # a row that does not sum to 1 is refused at parse time, before any output
+    bad = {"model": dict(CHAIN, transition=[[0.5, 0.49], [0.5, 0.5]]),
+           "output_dir": str(tmp_path / "v3")}
+    proc = run_cli(["validate", "--config", str(write_config(tmp_path, bad))])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:")
+    assert not (tmp_path / "v3" / "validate.csv").exists()
 
 
 def test_expand_writes_fit_summary(tmp_path):

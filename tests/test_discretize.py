@@ -395,8 +395,7 @@ def test_warm_seed_refined_when_it_already_passes_the_residual_test(mathieu):
     # a seed 1e-10 away in theta is within the iteration's residual target,
     # but its vectors carry a 1e-11 error; one step removes it
     ops = DiffusionOperators(mathieu, 256)
-    ops.perron(0.3)
-    _, g, psi = ops.perron(0.3 + 1e-10)
+    _, g, psi = ops._rqi(0.3 + 1e-10, ops.perron(0.3))
     # the reference workspace holds the dense top_eigen_data pair at the tilt
     dense = DiffusionOperators(mathieu, 256)
     ref = dense._dense_centre(0.3 + 1e-10)
@@ -426,6 +425,37 @@ def test_a_dense_centre_reseeds_its_saddle_line(mathieu, monkeypatch):
     ref = DiffusionOperators(mathieu, 64)
     ref._dense_centre(0.5)
     assert ops.top_pair(0.5, 2.0)[0] == ref.top_pair(0.5, 2.0)[0]
+
+
+HISTORIES = {
+    "rate_points": lambda m, f, n: [lx.rate_point(m, a, n=n) for a in (0.1, 0.5, 0.6)],
+    "tail_t400": lambda m, f, n: lx.exact_tail(m, f, 0.3, 400.0, n=n),
+    "tail_t2": lambda m, f, n: lx.exact_tail(m, f, 0.3, 2.0, n=n),
+    "tail_t0.5_t100": lambda m, f, n: [lx.exact_tail(m, f, 0.3, t, n=n) for t in (0.5, 100.0)],
+    "cgf": lambda m, f, n: [lx.cgf(m, th, n=n) for th in (0.2, 0.7, 1.3)],
+}
+
+
+def _history_values(m, f, n):
+    rp = lx.rate_point(m, 0.3, n=n)
+    return (rp.theta, rp.rate, rp.curvature, lx.leading_coefficient(m, f, 0.3, n=n),
+            lx.exact_tail(m, f, 0.3, 30.0, n=n))
+
+
+@pytest.fixture(scope="module")
+def cold_values(mathieu, frame):
+    lx.clear_caches()
+    return _history_values(mathieu, frame, 128)
+
+
+@pytest.mark.parametrize("history", HISTORIES)
+def test_values_do_not_depend_on_call_history(mathieu, frame, cold_values, history):
+    # every Perron pair is continued from fixed seeds in theta and s, so
+    # theta_a, I, I'', D0 and the tail are the cold values to the bit
+    lx.clear_caches()
+    HISTORIES[history](mathieu, frame, 128)
+    assert _history_values(mathieu, frame, 128) == cold_values
+    assert operators_for(mathieu, 128).dense_centres == set()
 
 
 @pytest.mark.parametrize("model, n", [("mathieu", 256), ("gaussian", 64), ("gradient_drift", 128)])

@@ -102,9 +102,31 @@ def test_duality_property_random_levels(a):
 
 
 def test_bracket_expansion(gaussian):
-    # admissible beyond the default theta_max through expand-by-doubling
-    rp = lx.rate_point(gaussian, 10.0, n=64, theta_max=8.0)
+    # admissible beyond the first bracket [0, 1] through expand-by-doubling
+    rp = lx.rate_point(gaussian, 10.0, n=64)
     assert abs(rp.theta - 10.0) < 1e-9
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 8.0, 16.0])
+def test_level_at_a_bracket_end_is_admissible(gaussian, a):
+    # mu'(theta) = theta on the Gaussian, so each level is mu' at a bracket
+    # end [0, 1], [0, 2], ..., which the doubling passes before the range check
+    assert abs(lx.solve_theta(gaussian, a, n=64) - a) < 1e-9
+
+
+def test_one_perturbation_solve_per_rate_point(mathieu, monkeypatch):
+    from ldp_expand import rate
+    calls = []
+    real = rate._perturbation
+
+    def counted(ops, theta, second=True):
+        calls.append(theta)
+        return real(ops, theta, second)
+
+    monkeypatch.setattr(rate, "_perturbation", counted)
+    lx.clear_caches()
+    rp = lx.rate_point(mathieu, 0.3, n=128)
+    assert calls == [rp.theta]
 
 
 @pytest.mark.parametrize("model, n, a_grid", [
