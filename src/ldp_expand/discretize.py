@@ -399,11 +399,12 @@ class DiffusionOperators:
     def tilt_diagonal(self, z: complex) -> np.ndarray:
         return z * self.b + 0.5 * z * z * self.sigma2
 
-    def _tilt_terms(self, theta: float):
-        """G(theta) with the actions of G' = diag(b + theta sigma^2) and
-        G'' = diag(sigma^2)."""
-        drift = self.b + theta * self.sigma2
-        return self.operator(theta), (lambda u: drift * u), (lambda u: self.sigma2 * u)
+    def _taylor_terms(self, theta: float, order: int):
+        """G(theta) with the actions of the Taylor terms M_1, ..., M_order of
+        G(theta + w) = G(theta) + w diag(b + theta sigma^2)
+        + (w^2 / 2) diag(sigma^2), which ends at M_2."""
+        drift, half = self.b + theta * self.sigma2, 0.5 * self.sigma2
+        return self.operator(theta), [lambda u: drift * u, lambda u: half * u][:order]
 
     @property
     def rho(self) -> InvariantDensity:
@@ -639,13 +640,16 @@ class ChainOperators:
         wcol = np.exp(z * self.m + 0.5 * z * z * self.var)
         return self.P * wcol[None, :]
 
-    def _tilt_terms(self, theta: float):
-        """T(theta) as a dense operator with the actions of
-        T' = T diag(m + theta var) and T'' = T diag((m + theta var)^2 + var)."""
-        T = self.tilted(theta)
-        drift = self.m + theta * self.var
-        curv = drift**2 + self.var
-        return _DenseSolver(T), (lambda u: T @ (drift * u)), (lambda u: T @ (curv * u))
+    def _taylor_terms(self, theta: float, order: int):
+        """T(theta) as a dense operator with the actions of the Taylor terms
+        M_j = T(theta) diag(e_j), j = 1..order, of T(theta + w) =
+        T(theta) diag(exp(w d + w^2 var / 2)), d = m + theta var:
+        j e_j = d e_{j-1} + var e_{j-2} from e_0 = 1, e_1 = d."""
+        T, d = self.tilted(theta), self.m + theta * self.var
+        e = [np.ones_like(d), d]
+        for j in range(2, order + 1):
+            e.append((d * e[-1] + self.var * e[-2]) / j)
+        return _DenseSolver(T), [lambda u, ej=ej: T @ (ej * u) for ej in e[1:]]
 
     @property
     def rho(self) -> InvariantDensity:

@@ -3,9 +3,10 @@ importance sampling through the spectral change of measure, and the
 corrector-based effective diffusivity.
 
 Noise streams are counter-based: block ``b`` of stream ``j`` for seed ``s``
-comes from an independent Philox state keyed by (s, j) with counter b, so a
-batch is bit-for-bit reproducible for fixed (seed, dt, n_paths) and any
-chunked evaluation order.  Stream 0 drives the torus coordinate, stream 1
+comes from an independent Philox state keyed by (s, j) with counter b (one
+bit generator per stream and run, its state set per block), so a batch is
+bit-for-bit reproducible for fixed (seed, dt, n_paths) and any chunked
+evaluation order.  Stream 0 drives the torus coordinate, stream 1
 the observable (the independence the change of measure relies on), stream 2
 stationary-start sampling.  Stepped paths take one block per 32 steps; with
 constant coefficients the whole horizon's increments are exactly Gaussian,
@@ -78,28 +79,33 @@ class DecorrelationReport:
     rows: tuple[tuple[float, float, float], ...]  # (t, statistic, stderr)
 
 
-def _stream_key(seed: int, stream: int) -> np.ndarray:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1), spawn_key=(stream,))
-    return ss.generate_state(2, np.uint64)
+def _stream(seed: int, stream: int):
+    """``at(block)``: the run's one Generator on a noise stream, its Philox
+    state set to the key of (seed, stream), counter [0, 0, block, 0] and an
+    empty buffer, as a Philox built with that key and counter starts;
+    setting the state costs a quarter of building one."""
+    key = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1),
+                                 spawn_key=(stream,)).generate_state(2, np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+
+    def at(block: int) -> np.random.Generator:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "state": {"counter": np.array([0, 0, block, 0], dtype=np.uint64), "key": key},
+            "has_uint32": 0, "uinteger": 0}
+        return gen
+
+    return at
 
 
-def _philox_normals(key: np.ndarray, block: int, shape) -> np.ndarray:
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[2] = np.uint64(block)
+def _philox_normals(stream, block: int, shape) -> np.ndarray:
     out = np.empty(shape)
-    np.random.Generator(np.random.Philox(counter=counter, key=key)).standard_normal(
-        out=out.reshape(-1))
+    stream(block).standard_normal(out=out.reshape(-1))
     return out
 
 
 def _noise_block(seed: int, stream: int, block: int, shape) -> np.ndarray:
-    return _philox_normals(_stream_key(seed, stream), block, shape)
-
-
-def _uniform_block(seed: int, stream: int, size: int) -> np.ndarray:
-    bitgen = np.random.Philox(counter=np.zeros(4, dtype=np.uint64),
-                              key=_stream_key(seed, stream))
-    return np.random.Generator(bitgen).random(size)
+    return _philox_normals(_stream(seed, stream), block, shape)
 
 
 def _is_const(field) -> bool:
@@ -225,12 +231,12 @@ def _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich):
     y_drift = None if _is_const(spec.obs_drift_b) else _grid_table(spec.obs_drift_b(nodes) * dt)
     y_noise = None if _is_const(sigma) else _grid_table(sigma(nodes))
 
-    keys = _stream_key(seed, 0), _stream_key(seed, 1)
+    streams = _stream(seed, 0), _stream(seed, 1)
     sqdt = math.sqrt(dt)
 
     def draw(block):
         rows = min(_BLOCK_STEPS, n_steps - block * _BLOCK_STEPS)
-        dwx = _philox_normals(keys[0], block, (rows, k, n_paths))
+        dwx = _philox_normals(streams[0], block, (rows, k, n_paths))
         dwx *= sqdt
         for i, s in enumerate(v_scale):
             if s is not None and s != 1.0:
@@ -238,10 +244,10 @@ def _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich):
         if y_noise is None:
             # the observable stream is independent of X; with constant sigma
             # its block noise aggregates exactly into one normal
-            dwy = _philox_normals(keys[1], block, (n_paths,))
+            dwy = _philox_normals(streams[1], block, (n_paths,))
             dwy *= float(sigma.const) * math.sqrt(rows * dt)
         else:
-            dwy = _philox_normals(keys[1], block, (rows, n_paths))
+            dwy = _philox_normals(streams[1], block, (rows, n_paths))
             dwy *= sqdt
         return dwx, dwy
 
@@ -411,7 +417,7 @@ def _sample_stationary(pi: np.ndarray, dx: float, n_paths: int, seed: int) -> np
     """Inverse-CDF sampling of the piecewise-constant tilted density."""
     cdf = np.concatenate([[0.0], np.cumsum(pi)])
     cdf[-1] = 1.0
-    u = _uniform_block(seed, 2, n_paths)
+    u = _stream(seed, 2)(0).random(n_paths)
     cell = np.searchsorted(cdf, u, side="right") - 1
     cell = np.clip(cell, 0, pi.size - 1)
     width = cdf[cell + 1] - cdf[cell]

@@ -1,8 +1,9 @@
 """Tilted spectra: cumulant curve mu(theta), eigenfunctions, spectral gaps,
-exact cumulant derivatives and the corrector from one eigenvalue
-perturbation routine (finite differences and the effective diffusivity kept
-as cross-checks), and the complex-tilt diagnostics used by the condition
-suite.
+the Taylor coefficients of mu at every order from one Rayleigh-Schroedinger
+recursion (``_taylor``; its order-1 and order-2 readings give the exact
+cumulant derivatives and the corrector, with finite differences and the
+effective diffusivity kept as cross-checks), and the complex-tilt
+diagnostics used by the condition suite.
 
 Notation: G(theta) is the tilted generator, mu(theta) its rightmost
 eigenvalue (the log of the time-1 Perron eigenvalue), g/psi the right/left
@@ -51,21 +52,6 @@ def cgf(spec: ModelSpec, theta: float, *, n: int | None = None) -> float:
     return operators_for(spec, n).mu(float(theta))
 
 
-@dataclass(frozen=True)
-class DerivativeCrossCheck:
-    """Finite-difference derivatives next to the exact perturbation values."""
-
-    theta: float
-    d1_fd: float
-    d2_fd: float
-    d1_spectral: float
-    d2_spectral: float
-
-    @property
-    def d2_rel_err(self) -> float:
-        return abs(self.d2_fd - self.d2_spectral) / max(abs(self.d2_fd), 1e-12)
-
-
 def cgf_fd_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None,
                        h: float = FD_STEP) -> tuple[float, float]:
     """Richardson-extrapolated central differences of the cumulant curve;
@@ -85,76 +71,78 @@ def cgf_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None) -> t
     ConvergenceError when either disagrees beyond CROSSCHECK_RTOL (0.5
     percent), which flags a discretization or corrector failure.
     """
-    check = cgf_derivative_crosscheck(spec, theta, n=n)
-    scale1 = max(abs(check.d1_fd), abs(check.d2_fd), 1e-8)
-    if abs(check.d1_fd - check.d1_spectral) > CROSSCHECK_RTOL * scale1:
-        raise ConvergenceError(
-            f"mu'({theta}) mismatch: finite differences {check.d1_fd:.10g} vs "
-            f"perturbation {check.d1_spectral:.10g}")
-    if check.d2_rel_err > CROSSCHECK_RTOL:
-        raise ConvergenceError(
-            f"mu''({theta}) mismatch: finite differences {check.d2_fd:.10g} vs "
-            f"perturbation {check.d2_spectral:.10g}")
+    fd1, fd2 = cgf_fd_derivatives(spec, theta, n=n)
     ops = operators_for(spec, n)
+    d1, d2, _ = _perturbation(ops, theta)
+    if abs(fd1 - d1) > CROSSCHECK_RTOL * max(abs(fd1), abs(fd2), 1e-8):
+        raise ConvergenceError(
+            f"mu'({theta}) mismatch: finite differences {fd1:.10g} vs perturbation {d1:.10g}")
+    if abs(fd2 - d2) / max(abs(fd2), 1e-12) > CROSSCHECK_RTOL:
+        raise ConvergenceError(
+            f"mu''({theta}) mismatch: finite differences {fd2:.10g} vs perturbation {d2:.10g}")
     if not ops.is_chain:
         xi = effective_diffusivity_core(ops, theta)[0]
-        if abs(xi - check.d2_spectral) > CROSSCHECK_RTOL * abs(check.d2_spectral):
+        if abs(xi - d2) > CROSSCHECK_RTOL * abs(d2):
             raise ConvergenceError(
-                f"mu''({theta}) mismatch: perturbation {check.d2_spectral:.10g} vs "
+                f"mu''({theta}) mismatch: perturbation {d2:.10g} vs "
                 f"effective diffusivity {xi:.10g}")
-    return check.d1_spectral, check.d2_spectral
-
-
-def cgf_derivative_crosscheck(spec: ModelSpec, theta: float, *,
-                              n: int | None = None) -> DerivativeCrossCheck:
-    d1, d2 = cgf_fd_derivatives(spec, theta, n=n)
-    s1, s2, _ = _perturbation(operators_for(spec, n), theta)
-    return DerivativeCrossCheck(theta=float(theta), d1_fd=d1, d2_fd=d2,
-                                d1_spectral=s1, d2_spectral=s2)
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue perturbation and the corrector.
 
-def _perturbation(ops, theta: float, second: bool = True):
-    """(mu'(theta), mu''(theta), gdot) by first- and second-order perturbation
-    of the Perron triple (value, g, psi) of M(theta) (Kato, Perturbation
-    Theory for Linear Operators, ch. II):
+def _taylor(ops, theta: float, order: int) -> tuple[tuple[float, ...], list[np.ndarray]]:
+    """Taylor coefficients (c_0, ..., c_order) of mu(theta + w) and the right
+    vectors g_0, ..., g_{order-1} of M(theta + w) = sum_j M_j w^j, by the
+    Rayleigh-Schroedinger recursion on the Perron triple (lambda_0, g_0, psi)
+    of M_0 (Kato, Perturbation Theory for Linear Operators, ch. II): with
+    <psi, g_0> = 1 and <psi, g_k> = 0 for k >= 1,
 
-        value'  = <psi, M' g>,
-        (M - value) gdot = value' g - M' g   with   <psi, gdot> = 0,
-        value'' = <psi, M'' g + 2 M' gdot>.
+        lambda_k = <psi, sum_{j=1..k} M_j g_{k-j}>,
+        (M_0 - lambda_0) g_k = sum_{j=1..k} (lambda_j - M_j) g_{k-j}.
 
-    M is the tilted generator (mu = value) or a chain's time-1 transfer
-    matrix (mu = log value); ``ops._tilt_terms`` supplies M and the actions
-    of M' and M''.  A rank-one pin at the largest entry k of psi g keeps
-    M - value invertible, and psi-orthogonality of the right-hand side forces
-    the solution's k-th entry to vanish, so it solves the singular system.
-    ``second=False`` stops after mu' and returns (mu', None, None)."""
-    theta = float(theta)
-    value, g, psi = ops.perron(theta)
-    op, d1M, d2M = ops._tilt_terms(theta)
+    M is the tilted generator (mu = lambda) or a chain's time-1 transfer
+    matrix (mu = log lambda, by series); ``ops._taylor_terms`` supplies M_0
+    and the actions of the M_j.  One factor of M_0 - lambda_0, pinned at the
+    largest entry of psi g_0, solves every order: a psi-orthogonal
+    right-hand side keeps the pinned entry zero.  Order 1 takes no solve."""
+    value, g, psi = ops.perron(float(theta))
+    op, terms = ops._taylor_terms(float(theta), order)
 
     def pair(u):
         return float(np.sum(psi * u) * ops.weight)
 
-    M1g = d1M(g)
-    v1 = pair(M1g)
-    mu1 = v1 / value if ops.is_chain else v1
-    if not second:
-        return mu1, None, None
-    pin = np.zeros(g.size)
-    pin[int(np.argmax(psi * g))] = op.scale
-    h = op.shifted_diagonal(pin).shifted_solver(value)(v1 * g - M1g)
-    gdot = h - pair(h) * g
-    v2 = pair(d2M(g) + 2.0 * d1M(gdot))
-    mu2 = v2 / value - mu1 * mu1 if ops.is_chain else v2
-    return mu1, mu2, gdot
+    lam, gs = [value], [g]
+    for k in range(1, order + 1):
+        mg = sum(M(gs[k - j]) for j, M in enumerate(terms[:k], 1))
+        lam.append(pair(mg))
+        if k < order:
+            if k == 1:
+                pin = np.zeros(g.size)
+                pin[int(np.argmax(psi * g))] = op.scale
+                solve = op.shifted_diagonal(pin).shifted_solver(value)
+            h = solve(sum(lam[j] * gs[k - j] for j in range(1, k + 1)) - mg)
+            gs.append(h - pair(h) * g)
+    if ops.is_chain:
+        # log of lambda_0 (1 + sum_k a_k w^k): k c_k = k a_k - sum_{j<k} j c_j a_{k-j}
+        a = [x / value for x in lam]
+        lam = [float(np.log(value))]
+        for k in range(1, order + 1):
+            lam.append(a[k] - sum(j * lam[j] * a[k - j] for j in range(1, k)) / k)
+    return tuple(lam), gs
+
+
+def _perturbation(ops, theta: float):
+    """(mu'(theta), mu''(theta), gdot): the order-2 reading of ``_taylor``,
+    with gdot = g_1 from its one solve."""
+    c, g = _taylor(ops, theta, 2)
+    return c[1], 2.0 * c[2], g[1]
 
 
 def spectral_mu_prime(ops, theta: float) -> float:
-    """mu'(theta): the first-order part of ``_perturbation``, with no solve."""
-    return _perturbation(ops, theta, second=False)[0]
+    """mu'(theta): the order-1 reading of ``_taylor``, with no solve."""
+    return _taylor(ops, theta, 1)[0][1]
 
 
 def solve_corrector(ops, theta: float) -> tuple[np.ndarray, float, float]:

@@ -119,9 +119,9 @@ def test_one_perturbation_solve_per_rate_point(mathieu, monkeypatch):
     calls = []
     real = rate._perturbation
 
-    def counted(ops, theta, second=True):
+    def counted(ops, theta):
         calls.append(theta)
-        return real(ops, theta, second)
+        return real(ops, theta)
 
     monkeypatch.setattr(rate, "_perturbation", counted)
     lx.clear_caches()

@@ -81,6 +81,19 @@ def test_constant_coefficients_draw_one_block_per_stream(monkeypatch, gaussian):
         assert calls == [0, 0]
 
 
+def test_stepped_run_builds_one_philox_per_stream(monkeypatch):
+    built = []
+
+    def counted(*args, _real=np.random.Philox, **kwargs):
+        built.append(kwargs.get("key"))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    # 200 steps: 7 blocks on each of the two streams
+    lx.euler_maruyama(_nonconstant_v_spec(), 0.2, 1e-3, 20, seed=3)
+    assert len(built) == 2
+
+
 def test_constant_coefficients_take_the_closed_form():
     spec = _two_field_constant_spec()
     t, dt, n, seed, x0 = 1.5, 1.0 / 256, 1000, 41, 0.25  # n_steps * dt == t exactly

@@ -72,9 +72,74 @@ def test_mathieu_golden_derivatives(mathieu):
 
 
 def test_derivative_crosscheck_agrees(mathieu):
-    check = sp.cgf_derivative_crosscheck(mathieu, 0.5, n=256)
-    assert check.d2_rel_err < 5e-3
-    assert abs(check.d1_fd - check.d1_spectral) < 1e-8
+    d1_fd, d2_fd = sp.cgf_fd_derivatives(mathieu, 0.5, n=256)
+    d1, d2, _ = sp._perturbation(operators_for(mathieu, 256), 0.5)
+    assert abs(d2_fd - d2) / abs(d2_fd) < 5e-3
+    assert abs(d1_fd - d1) < 1e-8
+
+
+def test_taylor_is_exact_on_the_gaussian(gaussian):
+    # mu(theta) = theta^2 / 2, so mu(0.5 + w) = 1/8 + w / 2 + w^2 / 2
+    c, g = sp._taylor(operators_for(gaussian, 64), 0.5, 6)
+    assert len(c) == 7 and len(g) == 6
+    assert np.max(np.abs(np.array(c) - (0.125, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0))) < 1e-12
+
+
+# Central differences of the exact mu'' with step h: (mu''(+h) - mu''(-h)) / 2h
+# misses mu''' = 6 c_3 by h^2 mu^(5) / 6 + O(h^4), and the second difference
+# misses mu'''' = 24 c_4 by h^2 mu^(6) / 12 + O(h^4).
+_FD_H = 1e-2
+
+
+def _taylor_against_differences(ops, theta):
+    c, _ = sp._taylor(ops, theta, 6)
+    lo, mid, hi = (sp._perturbation(ops, theta + k * _FD_H)[1] for k in (-1, 0, 1))
+    d3 = (hi - lo) / (2.0 * _FD_H) - 6.0 * c[3]
+    d4 = (hi - 2.0 * mid + lo) / _FD_H**2 - 24.0 * c[4]
+    # the h^2 terms, read from the same recursion's c_5 and c_6
+    lead3, lead4 = 20.0 * c[5] * _FD_H**2, 60.0 * c[6] * _FD_H**2
+    return c, d3, d4, lead3, lead4
+
+
+def test_taylor_matches_differences_of_mu2_on_mathieu(mathieu):
+    c, d3, d4, lead3, lead4 = _taylor_against_differences(operators_for(mathieu, 256), 0.5)
+    assert abs(6.0 * c[3] + 3.40341e-4) < 1e-9 and abs(24.0 * c[4] + 6.76665e-4) < 1e-9
+    # |mu^(5)| / 6 and |mu^(6)| / 12 are below 1e-5 here, so the h^2 terms
+    # are below 1e-9; the rest of the 5e-9 bound covers the rounding of mu''
+    # divided by h^2
+    assert abs(lead3) < 1e-9 and abs(lead4) < 1e-9
+    assert abs(d3) < 5e-9 and abs(d4) < 5e-9
+
+
+def test_taylor_matches_differences_of_mu2_on_the_noisy_chain():
+    ops = operators_for(lx.noisy_two_state_chain())
+    c, d3, d4, lead3, lead4 = _taylor_against_differences(ops, 0.5)
+    assert abs(6.0 * c[3] + 0.508351) < 1e-6 and abs(24.0 * c[4] - 0.541403) < 1e-6
+    # |mu^(5)| / 6 and |mu^(6)| / 12 are below 1 here: the O(h^2) bound h^2
+    assert abs(d3) < _FD_H**2 and abs(d4) < _FD_H**2
+    # what the h^2 terms of c_5 and c_6 leave is O(h^4) = 1e-8
+    assert abs(d3 - lead3) < 1e-7 and abs(d4 - lead4) < 1e-7
+
+
+def test_taylor_order_one_takes_no_solve(monkeypatch, mathieu):
+    from ldp_expand import _eigen, discretize
+    models = (operators_for(mathieu, 256), operators_for(lx.noisy_two_state_chain()))
+    for ops in models:
+        ops.perron(0.7)
+    calls = []
+    for cls in (discretize.CyclicTridiagonal, _eigen._DenseSolver):
+        def counted(self, sigma, _real=cls.shifted_solver):
+            calls.append(sigma)
+            return _real(self, sigma)
+        monkeypatch.setattr(cls, "shifted_solver", counted)
+    for ops in models:
+        c, g = sp._taylor(ops, 0.7, 1)
+        assert len(c) == 2 and len(g) == 1
+        assert calls == []
+        # the order-2 reading takes its one solve
+        assert c[1] == sp._perturbation(ops, 0.7)[0]
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_chain_derivatives_match_cosh(pm1_chain):
