@@ -1,6 +1,12 @@
 """Finite-dimensional operators for a model: generator stencils, tilts,
 invariant densities, and cached per-model workspaces.
 
+A diffusion workspace keeps one ``_Tilt`` record for each of the MAX_TILTS
+most recently used real tilts, and the workspace table MAX_WORKSPACES
+workspaces, both through ``_recent`` under one lock, so threads may share a
+workspace; a stored value is a function of its key, so it is rebuilt bit for
+bit after eviction.
+
 The torus generator uses the divergence-form second-order stencil
 
     (A u)_i = (1/2) [ d_{i+1/2} (u_{i+1} - u_i) - d_{i-1/2} (u_i - u_{i-1}) ] / dx^2
@@ -15,6 +21,8 @@ where a full spectrum or a matrix exponential is needed.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +35,8 @@ from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
 
 DEFAULT_GRID_N = 256
+MAX_TILTS = 64
+MAX_WORKSPACES = 8
 # the fixed seeds of the Perron continuation: real tilts are continued along
 # rungs 0.5 Z, saddle-line nodes along the lattice (1/8) Z in s
 _RUNG = 0.5
@@ -329,28 +339,47 @@ def _nonnegative(vec: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Cached workspaces binding a spec to its finite-dimensional operators.
 
-_WORKSPACES: dict = {}
+_LOCK = threading.RLock()
+_WORKSPACES: OrderedDict = OrderedDict()
+
+
+def _recent(store: OrderedDict, key, make, cap: int):
+    """store[key], made by make() on a miss: a least-recently-used cache that
+    drops its oldest entries beyond cap, read and written under one lock."""
+    with _LOCK:
+        if key not in store:
+            store[key] = make()
+        store.move_to_end(key)
+        while len(store) > cap:
+            store.popitem(last=False)
+        return store[key]
 
 
 def clear_caches() -> None:
     """Drop every cached workspace, so the next operation on any model
     starts cold."""
-    _WORKSPACES.clear()
+    with _LOCK:
+        _WORKSPACES.clear()
 
 
 def operators_for(spec: ModelSpec, n: int | None = None):
     """Workspace for a spec, cached so spectra are shared across operations."""
     if isinstance(spec, TorusDiffusionSpec):
-        key = (spec, n or DEFAULT_GRID_N)
-        if key not in _WORKSPACES:
-            _WORKSPACES[key] = DiffusionOperators(spec, key[1])
-        return _WORKSPACES[key]
+        n = n or DEFAULT_GRID_N
+        return _recent(_WORKSPACES, (spec, n), lambda: DiffusionOperators(spec, n), MAX_WORKSPACES)
     if isinstance(spec, DiscreteChainSpec):
-        key = (spec, None)
-        if key not in _WORKSPACES:
-            _WORKSPACES[key] = ChainOperators(spec)
-        return _WORKSPACES[key]
+        return _recent(_WORKSPACES, (spec, None), lambda: ChainOperators(spec), MAX_WORKSPACES)
     raise TypeError(f"no operators for {type(spec).__name__}")
+
+
+class _Tilt:
+    """A diffusion workspace's record of the real tilt theta: the ``line``
+    {s: (lambda, g, psi)} of G(theta + i s) (the real Perron pair, stored real,
+    at s = 0), the ``centre`` EigenData, the ``envelope`` max Re spec G(theta)
+    and the single-mode ``verdicts`` {(frame, tol): (t, ok)}."""
+
+    def __init__(self):
+        self.line, self.centre, self.envelope, self.verdicts = {}, None, None, {}
 
 
 class DiffusionOperators:
@@ -369,21 +398,17 @@ class DiffusionOperators:
         self.sigma2 = np.asarray(spec.obs_noise_sigma(self.x), dtype=float) ** 2
         self.stencil = generator_stencil(spec, self.grid)
         self._rho: InvariantDensity | None = None
-        self._eigen: dict[complex, EigenData] = {}
-        # the Perron branch, theta -> {s: (value, g, psi)} of G(theta + i s):
-        # the real pair at s = 0, stored real, and the saddle line continued
-        # from it
-        self._lines: dict[float, dict[float, tuple]] = {}
-        self._mgf_cache: dict = {}
-        self._top_cert: dict = {}
+        # theta -> _Tilt, the MAX_TILTS most recently used real tilts
+        self._tilts: OrderedDict[float, _Tilt] = OrderedDict()
         # certifications, and saddle-line nodes the single mode does not
         # cover, whose Krylov transform fell back to the dense nmgf
         self.certify_fallbacks = 0
         self.quadrature_fallbacks = 0
         # real tilts whose Perron centre is the dense top_eigen_data
         self.dense_centres: set[float] = set()
-        # max Re spec G(theta) at real tilts, from the centres' dense solves
-        self._envelope: dict[float, float] = {}
+
+    def _tilt(self, theta: float) -> _Tilt:
+        return _recent(self._tilts, theta, _Tilt, MAX_TILTS)
 
     # -- operators ---------------------------------------------------------
     def operator(self, z: complex) -> CyclicTridiagonal:
@@ -414,15 +439,14 @@ class DiffusionOperators:
 
     # -- spectra -----------------------------------------------------------
     def eigendata(self, z: complex) -> EigenData:
-        """Top-eigen data of G(z): the Perron centre of ``_centre`` at a real
-        tilt, the dense ``top_eigen_data`` at a complex one."""
+        """Top-eigen data of G(z): the stored Perron centre of ``_centre`` at
+        a real tilt, the dense ``top_eigen_data`` at a complex one."""
         z = complex(z)
-        if z.imag == 0.0:
-            z = z.real
-        if z not in self._eigen:
-            self._eigen[z] = (self._centre(z) if isinstance(z, float) else
-                              top_eigen_data(self.tilted(z), weight=self.weight, sort="real"))
-        return self._eigen[z]
+        if z.imag:
+            return top_eigen_data(self.tilted(z), weight=self.weight, sort="real")
+        rec = self._tilt(z.real)
+        rec.centre = rec.centre or self._centre(z.real)
+        return rec.centre
 
     def _centre(self, theta: float) -> EigenData:
         """Perron centre at a real tilt: (mu, g, psi) from the banded
@@ -431,10 +455,11 @@ class DiffusionOperators:
         within half the gap of the dense top eigenvalue; otherwise the centre
         is the dense ``top_eigen_data``, recorded in ``dense_centres``."""
         w = spectrum(self.tilted(theta))
-        self._envelope[theta] = float(np.max(w.real))
+        self._tilt(theta).envelope = float(np.max(w.real))
         top, gap = top_gap(w)
         refuse_degenerate(w, gap, w[top])
-        pair = self._lines[theta][0.0] if theta in self._lines else self._ladder(theta)
+        pair = None if theta in self.dense_centres else (
+            self._tilt(theta).line.get(0.0) or self._ladder(theta))
         if pair is None or not abs(pair[0] - w[top]) < 0.5 * gap:
             return self._dense_centre(theta)
         mu, g, psi = pair
@@ -444,18 +469,19 @@ class DiffusionOperators:
     def envelope(self, theta: float) -> float:
         """max Re spec G(theta) at a real tilt: the top of the centre's
         eigenvalues, or one eigenvalues-only solve where no centre ran."""
-        if theta not in self._envelope:
-            self._envelope[theta] = float(np.max(spectrum(self.tilted(theta)).real))
-        return self._envelope[theta]
+        rec = self._tilt(theta)
+        if rec.envelope is None:
+            rec.envelope = float(np.max(spectrum(self.tilted(theta)).real))
+        return rec.envelope
 
     def _dense_centre(self, theta: float) -> EigenData:
         """The dense ``top_eigen_data`` at a real tilt, which also replaces
         the continued pair there and drops the saddle line continued from
-        it, so the line restarts from the dense pair."""
+        it, so the line and later rungs restart from the dense pair."""
         ed = top_eigen_data(self.tilted(theta), weight=self.weight, sort="real", positive=True)
         self.dense_centres.add(theta)
-        self._eigen[theta] = ed
-        self._lines[theta] = {0.0: (float(np.real(ed.value)), ed.g, ed.psi)}
+        rec = self._tilt(theta)
+        rec.centre, rec.line = ed, {0.0: _real_pair(ed)}
         return ed
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -463,29 +489,28 @@ class DiffusionOperators:
         continuation on the tridiagonal operator along the fixed rungs
         (``_ladder``), dense eigensolve as fallback."""
         theta = float(theta)
-        hit = self._lines[theta][0.0] if theta in self._lines else self._ladder(theta)
-        if hit is None:
-            self._dense_centre(theta)
-            hit = self._lines[theta][0.0]
-        return hit
+        return (self._tilt(theta).line.get(0.0) or self._ladder(theta)
+                or _real_pair(self._dense_centre(theta)))
 
     def _ladder(self, theta: float):
         """The pair at theta continued from the rung sign(theta) 0.5
         floor(|theta| / 0.5), itself continued from the stationary pair at
-        theta = 0 through the rungs between; every pair is stored, and
-        depends on its tilt alone.  None when a step fails."""
-        if 0.0 not in self._lines:
-            # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
-            self._lines[0.0] = {0.0: (0.0, np.ones(self.grid.n), self.rho.rho.copy())}
-        pair = self._lines[0.0][0.0]
-        for rung in (*_fixed_seeds(theta, _RUNG), theta):
-            line = self._lines.get(rung)
-            if line is None:
-                pair = self._rqi(rung, pair)
-                if pair is None:
+        theta = 0 through the rungs between (the dense pair at a rung in
+        ``dense_centres``); every pair is stored.  None when a step fails."""
+        pair = None
+        for rung in (0.0, *_fixed_seeds(theta, _RUNG), theta):
+            line = self._tilt(rung).line
+            hit = line.get(0.0)
+            if hit is None and rung in self.dense_centres:
+                hit = _real_pair(self._dense_centre(rung))
+            elif hit is None:
+                # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
+                hit = ((0.0, np.ones(self.grid.n), self.rho.rho.copy()) if pair is None
+                       else self._rqi(rung, pair))
+                if hit is None:
                     return None
-                line = self._lines[rung] = {0.0: pair}
-            pair = line[0.0]
+                line[0.0] = hit
+            pair = hit
         return pair
 
     def mu(self, theta: float) -> float:
@@ -510,20 +535,11 @@ class DiffusionOperators:
 
     # -- moment generating data ---------------------------------------------
     def nmgf(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float) -> complex:
-        """Normalized transform  E_x0[e^{z Y_t}] * exp(-t mu_ref), via one
-        cached eigendecomposition of G(z) per tilt."""
-        key = (complex(z), frame)
-        hit = self._mgf_cache.get(key)
-        if hit is None:
-            Gz = self.tilted(z)
-            w, vr = sla.eig(Gz)
-            i0 = frame.index_on(self.grid.n)
-            v = frame.vector_on(self.grid.n)
-            coeff = sla.solve(vr, v.astype(complex))
-            c = vr[i0, :] * coeff
-            hit = (w, c)
-            self._mgf_cache[key] = hit
-        w, c = hit
+        """Normalized transform  E_x0[e^{z Y_t}] * exp(-t mu_ref), via the
+        dense eigendecomposition of G(z)."""
+        w, vr = sla.eig(self.tilted(z))
+        coeff = sla.solve(vr, frame.vector_on(self.grid.n).astype(complex))
+        c = vr[frame.index_on(self.grid.n), :] * coeff
         return np.sum(c * np.exp((w - mu_ref) * t))
 
     def nmgf_krylov(self, z: complex, t: float, frame: EvaluationFrame, mu_ref: float,
@@ -544,16 +560,13 @@ class DiffusionOperators:
         depends on (theta, s) alone (the real pair itself, cast complex, at
         s = 0); None when the continuation fails to converge."""
         theta, s = float(theta), float(s)
-        if theta not in self._lines:
-            self.perron(theta)
-        line = self._lines[theta]
-        if s == 0.0:
-            mu0, g0, psi0 = line[0.0]
-            return complex(mu0), g0.astype(complex), psi0.astype(complex)
-        pair = line.get(s)
+        pair = self._tilt(theta).line.get(s) if s else None
         if pair is not None:
             return pair
-        pair = line[0.0]
+        pair = self.perron(theta)
+        if s == 0.0:
+            return complex(pair[0]), pair[1].astype(complex), pair[2].astype(complex)
+        line = self._tilt(theta).line
         for node in (*_fixed_seeds(s, _S_STEP), s):
             hit = line.get(node)
             if hit is None:
@@ -583,9 +596,9 @@ class DiffusionOperators:
         horizon t extends to all larger t.  The full transform comes from
         ``krylov_expm_entry`` on the banded G(z), or from the dense ``nmgf``
         when the Krylov space does not settle (counted in
-        ``certify_fallbacks``)."""
-        key = (float(theta), frame)
-        cached = self._top_cert.get(key)
+        ``certify_fallbacks``).  A verdict is kept per (theta, frame, tol)."""
+        verdicts = self._tilt(float(theta)).verdicts
+        cached = verdicts.get((frame, tol))
         if cached is not None:
             ok_t, verdict = cached
             if verdict and t >= ok_t:
@@ -609,9 +622,9 @@ class DiffusionOperators:
             s = float(s)
             top = self.nmgf_top(complex(theta, s), t, frame, mu_ref)
             if top is None or abs(top - (full_at(s, peak) if s else at_zero)) > tol * peak:
-                self._top_cert[key] = (t, False)
+                verdicts[(frame, tol)] = (t, False)
                 return False
-        self._top_cert[key] = (t, True)
+        verdicts[(frame, tol)] = (t, True)
         return True
 
 
@@ -628,7 +641,7 @@ class ChainOperators:
         self.m = spec.means()
         self.var = spec.variances()
         self.weight = 1.0
-        self._eigen: dict[complex, EigenData] = {}
+        self._eigen: OrderedDict = OrderedDict()  # z -> EigenData
         self._rho: InvariantDensity | None = None
 
     @property
@@ -659,12 +672,9 @@ class ChainOperators:
 
     def eigendata(self, z: complex) -> EigenData:
         z = complex(z)
-        if z.imag == 0.0:
-            z = z.real
-        if z not in self._eigen:
-            self._eigen[z] = top_eigen_data(self.tilted(z), weight=1.0,
-                                            sort="abs", positive=isinstance(z, float))
-        return self._eigen[z]
+        z = z if z.imag else z.real
+        return _recent(self._eigen, z, lambda: top_eigen_data(
+            self.tilted(z), weight=1.0, sort="abs", positive=isinstance(z, float)), MAX_TILTS)
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         ed = self.eigendata(float(theta))
@@ -690,6 +700,11 @@ class ChainOperators:
         for _ in range(n):
             u = T @ u
         return u[frame.index_on(self.n_states)]
+
+
+def _real_pair(ed: EigenData) -> tuple[float, np.ndarray, np.ndarray]:
+    """(mu, g, psi) of a real tilt's dense centre."""
+    return float(np.real(ed.value)), ed.g, ed.psi
 
 
 def _fixed_seeds(x: float, step: float) -> list[float]:

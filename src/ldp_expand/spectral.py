@@ -73,7 +73,7 @@ def cgf_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None) -> t
     """
     fd1, fd2 = cgf_fd_derivatives(spec, theta, n=n)
     ops = operators_for(spec, n)
-    d1, d2, _ = _perturbation(ops, theta)
+    d1, d2, gdot = _perturbation(ops, theta)
     if abs(fd1 - d1) > CROSSCHECK_RTOL * max(abs(fd1), abs(fd2), 1e-8):
         raise ConvergenceError(
             f"mu'({theta}) mismatch: finite differences {fd1:.10g} vs perturbation {d1:.10g}")
@@ -81,7 +81,7 @@ def cgf_derivatives(spec: ModelSpec, theta: float, *, n: int | None = None) -> t
         raise ConvergenceError(
             f"mu''({theta}) mismatch: finite differences {fd2:.10g} vs perturbation {d2:.10g}")
     if not ops.is_chain:
-        xi = effective_diffusivity_core(ops, theta)[0]
+        xi = _diffusivity(ops, float(theta), _corrector(ops, float(theta), d1, gdot)[0])
         if abs(xi - d2) > CROSSCHECK_RTOL * abs(d2):
             raise ConvergenceError(
                 f"mu''({theta}) mismatch: perturbation {d2:.10g} vs "
@@ -156,6 +156,11 @@ def solve_corrector(ops, theta: float) -> tuple[np.ndarray, float, float]:
     """
     theta = float(theta)
     c_theta, _, gdot = _perturbation(ops, theta)
+    return _corrector(ops, theta, c_theta, gdot)
+
+
+def _corrector(ops, theta: float, c_theta: float, gdot: np.ndarray):
+    """``solve_corrector`` from the perturbation's (mu', gdot) at theta."""
     mu, g, psi = ops.perron(theta)
     pi = psi * g * ops.weight
     drift = ops.b + theta * ops.sigma2
@@ -174,11 +179,14 @@ def effective_diffusivity_core(ops, theta: float) -> tuple[float, np.ndarray, fl
     the corrector; equals mu''(theta) up to discretization error.  Returns
     (xi, f, c_theta, residual)."""
     f, c_theta, residual = solve_corrector(ops, theta)
-    _, g, psi = ops.perron(float(theta))
+    return _diffusivity(ops, float(theta), f), f, c_theta, residual
+
+
+def _diffusivity(ops, theta: float, f: np.ndarray) -> float:
+    """Xi(theta) from the corrector f."""
+    _, g, psi = ops.perron(theta)
     pi = psi * g * ops.weight
-    fprime = periodic_slope(f)
-    xi = float(np.sum((ops.vv * fprime**2 + ops.sigma2) * pi))
-    return xi, f, c_theta, residual
+    return float(np.sum((ops.vv * periodic_slope(f)**2 + ops.sigma2) * pi))
 
 
 # ---------------------------------------------------------------------------

@@ -356,11 +356,9 @@ def _check_b3_suite(ops, thetas, svals) -> ConditionVerdict:
     ``b3_certificate`` wherever c exists and c s^2 > B3_MARGIN_FLOOR.  Every
     other (theta, s) takes the dense ``b3_margins`` value, counted in
     ``dense_fallbacks``; chains are dense by design and not counted.  The
-    certificates come from the cached Perron pairs in the calling thread,
-    and so do the real-tilt references of the dense margins (on a diffusion,
-    the centres' envelopes); only the dense sweeps, stateless eigenvalue
-    work that writes no cache, are threaded, and the ordered collection
-    keeps parallel and serial output identical."""
+    certificates come from the cached Perron pairs in the calling thread;
+    the dense sweeps are threaded, and the ordered collection keeps parallel
+    and serial output identical."""
     bounds, dense_s = {}, {}
     for th in thetas:
         c = b3_certificate(ops, th)
@@ -370,8 +368,6 @@ def _check_b3_suite(ops, thetas, svals) -> ConditionVerdict:
                 bounds[(th, s)] = bound
             else:
                 dense_s.setdefault(th, []).append(s)
-    for th in dense_s:
-        spectral_envelope(ops, float(th))
     sweeps = list(dense_s.items())
     dense = {}
     for (th, _), rows in zip(sweeps, parallel_map(lambda item: b3_margins(ops, *item), sweeps)):

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, strategies as st
 
 import ldp_expand as lx
-from ldp_expand import fields
+from ldp_expand import discretize, fields
 from ldp_expand.discretize import CyclicTridiagonal, DiffusionOperators, operators_for
 from ldp_expand.errors import GridResolutionError, ModelValidationError
 from ldp_expand.model import DiscreteChainSpec, TorusDiffusionSpec
@@ -161,6 +164,20 @@ def test_chain_gaussian_increment_has_no_lattice():
 
 
 def test_workspace_cache_is_shared(gaussian):
+    assert operators_for(gaussian, 64) is operators_for(gaussian, 64)
+
+
+def test_workspace_table_keeps_the_most_recent_workspaces(gaussian):
+    lx.clear_caches()
+    first = operators_for(gaussian, 64)
+    for n in range(8, 8 + 2 * discretize.MAX_WORKSPACES, 2):
+        operators_for(gaussian, n)
+        # each use makes a workspace the most recent, so first outlives the rest
+        assert operators_for(gaussian, 64) is first
+    assert len(discretize._WORKSPACES) == discretize.MAX_WORKSPACES
+    for n in range(100, 100 + 2 * discretize.MAX_WORKSPACES, 2):
+        operators_for(gaussian, n)
+    assert operators_for(gaussian, 64) is not first
     assert operators_for(gaussian, 64) is operators_for(gaussian, 64)
 
 
@@ -425,6 +442,20 @@ def test_a_dense_centre_reseeds_its_saddle_line(mathieu, monkeypatch):
     ref = DiffusionOperators(mathieu, 64)
     ref._dense_centre(0.5)
     assert ops.top_pair(0.5, 2.0)[0] == ref.top_pair(0.5, 2.0)[0]
+    # the dense centre outlives its record: a rebuilt 0.5 takes the dense
+    # pair again, not the continued one
+    monkeypatch.setattr(discretize, "MAX_TILTS", 2)
+    for theta in (1.3, -0.7, 0.2):
+        ops.perron(theta)
+    assert 0.5 not in ops._tilts
+    ed, want = ops.eigendata(0.5), ref.eigendata(0.5)
+    assert (ed.value, ed.gap, ed.residual) == (want.value, want.gap, want.residual)
+    assert np.array_equal(ed.g, want.g) and np.array_equal(ed.psi, want.psi)
+    for theta in (1.3, -0.7):
+        ops.perron(theta)
+    assert 0.5 not in ops._tilts
+    assert ops.perron(0.5)[0] == ref.perron(0.5)[0]
+    assert ops.top_pair(0.5, 2.0)[0] == ref.top_pair(0.5, 2.0)[0]
 
 
 HISTORIES = {
@@ -456,6 +487,71 @@ def test_values_do_not_depend_on_call_history(mathieu, frame, cold_values, histo
     HISTORIES[history](mathieu, frame, 128)
     assert _history_values(mathieu, frame, 128) == cold_values
     assert operators_for(mathieu, 128).dense_centres == set()
+
+
+def test_a_verdict_does_not_outlive_its_tolerance(mathieu, frame):
+    # a single-mode verdict certified at rel_tol 1e-6 must not serve a 1e-11
+    # tail: the single-mode value is 4.4e-11 relative off the cold one
+    lx.clear_caches()
+    cold = lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256, rel_tol=1e-11)
+    lx.clear_caches()
+    lx.exact_tail(mathieu, frame, 0.3, 1.0, n=256, rel_tol=1e-6)
+    assert lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256, rel_tol=1e-11) == cold
+
+
+def test_evicted_tilts_are_rebuilt_bit_for_bit(mathieu, frame, cold_values, monkeypatch):
+    sizes, real = [], discretize._recent
+
+    def bounded(store, key, make, cap):
+        value = real(store, key, make, cap)
+        sizes.append(len(store) <= cap)
+        return value
+
+    monkeypatch.setattr(discretize, "MAX_TILTS", 2)
+    monkeypatch.setattr(discretize, "_recent", bounded)
+    lx.clear_caches()
+    lx.rate_table(mathieu, np.linspace(0.1, 0.6, 10), n=128)
+    lx.tail_curve(mathieu, frame, 0.4, (2.0, 50.0), n=128)
+    lx.exact_tail(mathieu, frame, 0.2, 100.0, n=128)
+    assert _history_values(mathieu, frame, 128) == cold_values
+    ops = operators_for(mathieu, 128)
+    assert len(ops._tilts) <= 2 and len(sizes) > 100 and all(sizes)
+    assert ops.dense_centres == set()
+
+
+def test_two_threads_share_a_bounded_workspace(mathieu, monkeypatch):
+    thetas = [float(th) for th in np.linspace(-1.0, 2.0, 50)]
+    ref = DiffusionOperators(mathieu, 64)
+    want = [(ref.envelope(th), ref.eigendata(th)) for th in thetas]
+    monkeypatch.setattr(discretize, "MAX_TILTS", 4)
+    ops = DiffusionOperators(mathieu, 64)
+    got, errors = [[], []], []
+
+    def run(k):
+        try:
+            for th in thetas if k else thetas[::-1]:
+                got[k].append((th, ops.envelope(th), ops.eigendata(th)))
+        except Exception as exc:  # reported below, with the thread it stopped
+            errors.append((k, exc))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    for rows in got:
+        assert len(rows) == len(thetas)
+        for th, envelope, ed in rows:
+            ref_envelope, ref_ed = want[thetas.index(th)]
+            assert envelope == ref_envelope and ed.value == ref_ed.value, th
+            assert np.array_equal(ed.g, ref_ed.g) and np.array_equal(ed.psi, ref_ed.psi), th
+    assert len(ops._tilts) <= 4
 
 
 @pytest.mark.parametrize("model, n", [("mathieu", 256), ("gaussian", 64), ("gradient_drift", 128)])

@@ -281,17 +281,32 @@ def test_certify_top_mode_verdicts(mathieu, frame):
         assert ops.certify_fallbacks == 0
 
 
+def _count_dense_nmgf(monkeypatch):
+    """The tilts of every dense ``DiffusionOperators.nmgf`` call from now on."""
+    from ldp_expand.discretize import DiffusionOperators
+    calls, real = [], DiffusionOperators.nmgf
+
+    def counted(self, z, *args):
+        calls.append(z)
+        return real(self, z, *args)
+
+    monkeypatch.setattr(DiffusionOperators, "nmgf", counted)
+    return calls
+
+
 def test_certify_top_mode_falls_back_to_dense_nmgf(mathieu, frame, monkeypatch):
     from ldp_expand import discretize
     rp = lx.rate_point(mathieu, 0.3, n=256)
     lx.clear_caches()
     p_banded = lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256)
     monkeypatch.setattr(discretize, "krylov_expm_entry", lambda *args, **kwargs: None)
+    dense = _count_dense_nmgf(monkeypatch)
     for t, verdict in CERT_VERDICTS.items():
         ops = discretize.DiffusionOperators(mathieu, 256)
+        dense.clear()
         assert _certify(ops, rp, t, frame) is verdict, t
         assert ops.certify_fallbacks >= 1
-        assert len(ops._mgf_cache) == ops.certify_fallbacks
+        assert len(dense) == ops.certify_fallbacks
     lx.clear_caches()
     assert lx.exact_tail(mathieu, frame, 0.3, 30.0, n=256) == p_banded
     assert discretize.operators_for(mathieu, 256).certify_fallbacks == 3
@@ -316,10 +331,11 @@ def test_cold_mathieu_tail_takes_no_dense_eigensolve(mathieu, frame, monkeypatch
 @pytest.mark.parametrize("n", [64, 128])
 def test_uncertified_nodes_match_the_dense_transform(mathieu, frame, monkeypatch, n):
     from ldp_expand import discretize
+    dense = _count_dense_nmgf(monkeypatch)
     lx.clear_caches()
     p_krylov = lx.exact_tail(mathieu, frame, 0.3, 0.5, n=n)
     ops = discretize.operators_for(mathieu, n)
-    assert ops.quadrature_fallbacks == 0 and not ops._mgf_cache
+    assert ops.quadrature_fallbacks == 0 and not dense
     monkeypatch.setattr(discretize, "krylov_expm_entry", lambda *args, **kwargs: None)
     lx.clear_caches()
     p_dense = lx.exact_tail(mathieu, frame, 0.3, 0.5, n=n)

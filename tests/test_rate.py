@@ -129,6 +129,23 @@ def test_one_perturbation_solve_per_rate_point(mathieu, monkeypatch):
     assert calls == [rp.theta]
 
 
+def test_one_perturbation_solve_per_cgf_derivatives(mathieu, monkeypatch):
+    # the Xi cross-check takes the (mu', gdot) of the perturbation solve
+    from ldp_expand import spectral
+    from ldp_expand.discretize import CyclicTridiagonal
+    lx.clear_caches()
+    first = lx.cgf_derivatives(mathieu, 0.5, n=256)
+    calls, factors = [], []
+    real_perturbation, real_solver = spectral._perturbation, CyclicTridiagonal.shifted_solver
+    monkeypatch.setattr(spectral, "_perturbation",
+                        lambda ops, theta: calls.append(theta) or real_perturbation(ops, theta))
+    monkeypatch.setattr(CyclicTridiagonal, "shifted_solver",
+                        lambda self, sigma: factors.append(sigma) or real_solver(self, sigma))
+    assert lx.cgf_derivatives(mathieu, 0.5, n=256) == first
+    assert calls == [0.5] and len(factors) == 1
+    assert first == real_perturbation(operators_for(mathieu, 256), 0.5)[:2]
+
+
 @pytest.mark.parametrize("model, n, a_grid", [
     ("mathieu", 256, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
     ("gaussian", 64, (0.05, 0.5, 1.0, 2.0, 10.0)),
