@@ -21,7 +21,7 @@ import numpy as np
 from . import expansion, model, rate, simulate, spectral, verify
 from .discretize import operators_for
 from .errors import ConfigError, LdpExpandError
-from .fields import config_integer, config_number, config_numbers, field_from_config
+from .fields import check_keys, config_integer, config_number, config_numbers, field_from_config
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
 
@@ -124,12 +124,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
     spec, frame, model_grid_n = _parse_model(cfg["model"])
     if model_grid_n is not None:
         grid_n = model_grid_n
-    order = _positive_int(cfg["order"], "order")
     simulate = _simulate_section(cfg["simulate"])
     conditions = _condition_grids(cfg["conditions"])
-    _check_keys(cfg["expand"], [*DEFAULTS["expand"], "order"], "expand")
-    expand = {"a": _finite(cfg["expand"]["a"], "expand.a"),
-              "order": _positive_int(cfg["expand"].get("order", order), "expand.order")}
+    check_keys(cfg["expand"], DEFAULTS["expand"], "expand")
+    expand = {"a": _finite(cfg["expand"]["a"], "expand.a")}
     tol = config_number(cfg["tol"], "tol")
     if not 0.0 < tol < 1.0:  # NaN and infinities fail the comparison too
         raise ConfigError(f"tol must be finite and in (0, 1), got {cfg['tol']!r}")
@@ -138,7 +136,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("model fails validation: " + "; ".join(report.violations))
     return RunConfig(
         spec=spec, frame=frame, grid_n=grid_n, tol=tol,
-        order=order, seed=config_integer(cfg["seed"], "seed"),
+        order=_positive_int(cfg["order"], "order"), seed=config_integer(cfg["seed"], "seed"),
         output_dir=Path(cfg["output_dir"]),
         theta_grid=_grid(cfg["theta_grid"], "theta_grid"),
         a_grid=_grid(cfg["a_grid"], "a_grid"),
@@ -163,7 +161,7 @@ def _finite(value, key: str) -> float:
 
 def _simulate_section(obj) -> dict:
     """simulate with typed entries; range checks are the simulator's."""
-    _check_keys(obj, DEFAULTS["simulate"], "simulate")
+    check_keys(obj, DEFAULTS["simulate"], "simulate")
     sim = {key: _finite(obj[key], f"simulate.{key}") for key in ("a", "t", "dt")}
     sim["n_paths"] = _positive_int(obj["n_paths"], "simulate.n_paths")
     if obj["method"] not in _METHODS:
@@ -172,45 +170,32 @@ def _simulate_section(obj) -> dict:
 
 
 def _grid(obj, key: str) -> tuple[float, ...]:
+    """A grid of finite numbers: a list, or a min/max/steps object."""
     if isinstance(obj, dict):
-        extra = set(obj) - {"min", "max", "steps", "scale"}
-        if extra:
-            raise ConfigError(f"{key}: unknown grid key(s) {', '.join(sorted(extra))}")
-        if "min" not in obj or "max" not in obj:
-            raise ConfigError(f"{key}: grid objects need min and max")
+        check_keys(obj, {"min", "max", "steps", "scale"}, key, required={"min", "max"})
         lo = config_number(obj["min"], f"{key}.min")
         hi = config_number(obj["max"], f"{key}.max")
         steps = _positive_int(obj.get("steps", 9), f"{key}.steps")
-        if obj.get("scale", "linear") == "geometric":
-            if lo <= 0:
-                raise ConfigError(f"{key}: geometric grids need min > 0")
-            return tuple(np.geomspace(lo, hi, steps))
-        return tuple(np.linspace(lo, hi, steps))
-    if isinstance(obj, (list, tuple)):
-        return config_numbers(obj, key)
-    raise ConfigError(f"{key} must be a list or a min/max/steps object")
+        geometric = obj.get("scale", "linear") == "geometric"
+        if geometric and lo <= 0:
+            raise ConfigError(f"{key}: geometric grids need min > 0")
+        grid = tuple((np.geomspace if geometric else np.linspace)(lo, hi, steps))
+    elif isinstance(obj, (list, tuple)):
+        grid = config_numbers(obj, key)
+    else:
+        raise ConfigError(f"{key} must be a list or a min/max/steps object")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{key} entries must be finite, got {obj!r}")
+    return grid
 
 
 def _condition_grids(obj: dict) -> dict:
     """The condition suite's s and t grids: finite numbers, with a nonzero s."""
-    _check_keys(obj, DEFAULTS["conditions"], "conditions")
-    grids = {}
-    for key in ("s_grid", "t_grid"):
-        grid = _grid(obj[key], f"conditions.{key}")
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError(f"conditions.{key} entries must be finite, got {obj[key]!r}")
-        grids[key] = grid
+    check_keys(obj, DEFAULTS["conditions"], "conditions")
+    grids = {key: _grid(obj[key], f"conditions.{key}") for key in ("s_grid", "t_grid")}
     if not any(grids["s_grid"]):
         raise ConfigError(f"conditions.s_grid needs a nonzero entry, got {obj['s_grid']!r}")
     return grids
-
-
-def _check_keys(obj, allowed, where: str):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(obj).difference(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
 
 
 def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
@@ -225,9 +210,7 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
     if not isinstance(obj, dict):
         raise ConfigError("model must be an object or a path to one")
     if "builtin" in obj:
-        extra = set(obj) - {"builtin", "eval_frame", "grid_n"}
-        if extra:
-            raise ConfigError(f"model: unknown key(s) {', '.join(sorted(extra))}")
+        check_keys(obj, {"builtin", "eval_frame", "grid_n"}, "model")
         name = obj["builtin"]
         if name not in _BUILTIN_MODELS:
             raise ConfigError(f"unknown builtin model {name!r}; "
@@ -236,11 +219,11 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
         return spec, _parse_frame(obj.get("eval_frame")), _model_grid_n(obj)
     kind = obj.get("kind")
     if kind == "torus_diffusion":
-        _check_keys(obj, _MODEL_KEYS_TORUS, "model")
+        check_keys(obj, _MODEL_KEYS_TORUS, "model")
         fields = obj.get("fields", {})
-        _check_keys(fields, {"V", "V0"}, "model.fields")
+        check_keys(fields, {"V", "V0"}, "model.fields")
         observable = obj.get("observable", {})
-        _check_keys(observable, {"b", "sigma"}, "model.observable")
+        check_keys(observable, {"b", "sigma"}, "model.observable")
         v_list = fields.get("V", [1.0])
         if not isinstance(v_list, list):
             v_list = [v_list]
@@ -253,10 +236,8 @@ def _parse_model(obj) -> tuple[ModelSpec, EvaluationFrame, int | None]:
                                               "model.observable.sigma"))
         return spec, _parse_frame(obj.get("eval_frame")), _model_grid_n(obj)
     if kind == "discrete_chain":
-        _check_keys(obj, _MODEL_KEYS_CHAIN, "model")
-        for need in ("transition", "increment_mean", "increment_var"):
-            if need not in obj:
-                raise ConfigError(f"model.{need} is required for discrete chains")
+        check_keys(obj, _MODEL_KEYS_CHAIN, "model",
+                   required={"transition", "increment_mean", "increment_var"})
         if not isinstance(obj["transition"], list):
             raise ConfigError("model.transition must be a list of rows")
         spec = DiscreteChainSpec(
@@ -275,7 +256,7 @@ def _model_grid_n(obj: dict) -> int | None:
 def _parse_frame(obj) -> EvaluationFrame:
     if obj is None:
         return EvaluationFrame()
-    _check_keys(obj, {"x0", "v"}, "eval_frame")
+    check_keys(obj, {"x0", "v"}, "eval_frame")
     x0 = obj.get("x0", 0)
     v = obj.get("v")
     if v is not None:
@@ -411,7 +392,7 @@ def _cmd_spectral(cfg: RunConfig, **_) -> int:
 
 
 def _cmd_expand(cfg: RunConfig, force: bool, svg: bool) -> int:
-    a, order = cfg.expand["a"], cfg.expand["order"]
+    a, order = cfg.expand["a"], cfg.order
     if not force:
         theta_a = rate.solve_theta(cfg.spec, a, n=cfg.grid_n)
         pre = verify.quick_condition_check(cfg.spec, theta_a, n=cfg.grid_n, frame=cfg.frame)
@@ -564,7 +545,7 @@ def _range_flags(args, var: str, spacing) -> tuple[float, ...] | None:
 
 # Flags that set one config entry, per command: flag -> (dotted key, argparse options).
 _ENTRY_FLAGS = {
-    "expand": {"a": ("expand.a", {"type": float}), "order": ("expand.order", {"type": int})},
+    "expand": {"a": ("expand.a", {"type": float}), "order": ("order", {"type": int})},
     "simulate": {"a": ("simulate.a", {"type": float}), "t": ("simulate.t", {"type": float}),
                  "dt": ("simulate.dt", {"type": float}),
                  "paths": ("simulate.n_paths", {"type": int}), "seed": ("seed", {"type": int}),

@@ -449,20 +449,22 @@ class DiffusionOperators:
         return rec.centre
 
     def _centre(self, theta: float) -> EigenData:
-        """Perron centre at a real tilt: (mu, g, psi) from the banded
-        continuation, the gap from the eigenvalues alone of the dense
-        G(theta).  The banded pair is kept when it lies on the top branch,
-        within half the gap of the dense top eigenvalue; otherwise the centre
-        is the dense ``top_eigen_data``, recorded in ``dense_centres``."""
+        """Perron centre at a real tilt: (mu, g, psi) from ``perron``, the gap
+        from the eigenvalues alone of the dense G(theta).  The pair is kept
+        when it lies on the top branch, within half the gap of the dense top
+        eigenvalue; otherwise the centre is the dense ``top_eigen_data``,
+        recorded in ``dense_centres``, and taken once: a centre that
+        ``perron`` made dense is returned as it stands."""
         w = spectrum(self.tilted(theta))
         self._tilt(theta).envelope = float(np.max(w.real))
         top, gap = top_gap(w)
         refuse_degenerate(w, gap, w[top])
-        pair = None if theta in self.dense_centres else (
-            self._tilt(theta).line.get(0.0) or self._ladder(theta))
-        if pair is None or not abs(pair[0] - w[top]) < 0.5 * gap:
+        mu, g, psi = self.perron(theta)
+        if theta in self.dense_centres:
+            # rebuilt only when another thread evicted the record meanwhile
+            return self._tilt(theta).centre or self._dense_centre(theta)
+        if not abs(mu - w[top]) < 0.5 * gap:
             return self._dense_centre(theta)
-        mu, g, psi = pair
         residual = float(np.max(np.abs(self.operator(theta).matvec(g) - mu * g)))
         return EigenData(value=mu, g=g, psi=psi, gap=gap, residual=residual)
 
@@ -486,31 +488,25 @@ class DiffusionOperators:
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
         """(mu, g, psi) of the real tilt at theta: warm Rayleigh-quotient
-        continuation on the tridiagonal operator along the fixed rungs
-        (``_ladder``), dense eigensolve as fallback."""
+        continuation on the tridiagonal operator from the stationary pair at
+        theta = 0 along the fixed rungs sign(theta) 0.5 k strictly between 0
+        and theta; every pair is stored.  A rung in ``dense_centres``, or one
+        whose continuation fails, takes the dense centre once, and the rungs
+        above continue from it."""
         theta = float(theta)
-        return (self._tilt(theta).line.get(0.0) or self._ladder(theta)
-                or _real_pair(self._dense_centre(theta)))
-
-    def _ladder(self, theta: float):
-        """The pair at theta continued from the rung sign(theta) 0.5
-        floor(|theta| / 0.5), itself continued from the stationary pair at
-        theta = 0 through the rungs between (the dense pair at a rung in
-        ``dense_centres``); every pair is stored.  None when a step fails."""
-        pair = None
+        pair = self._tilt(theta).line.get(0.0)
+        if pair is not None:
+            return pair
         for rung in (0.0, *_fixed_seeds(theta, _RUNG), theta):
             line = self._tilt(rung).line
             hit = line.get(0.0)
-            if hit is None and rung in self.dense_centres:
-                hit = _real_pair(self._dense_centre(rung))
-            elif hit is None:
+            if hit is None and rung not in self.dense_centres:
                 # stationarity seeds the continuation: mu(0) = 0, g = 1, psi = rho
                 hit = ((0.0, np.ones(self.grid.n), self.rho.rho.copy()) if pair is None
                        else self._rqi(rung, pair))
-                if hit is None:
-                    return None
-                line[0.0] = hit
-            pair = hit
+                if hit is not None:
+                    line[0.0] = hit
+            pair = hit or _real_pair(self._dense_centre(rung))
         return pair
 
     def mu(self, theta: float) -> float:
@@ -642,7 +638,6 @@ class ChainOperators:
         self.var = spec.variances()
         self.weight = 1.0
         self._eigen: OrderedDict = OrderedDict()  # z -> EigenData
-        self._rho: InvariantDensity | None = None
 
     @property
     def n_states(self) -> int:
@@ -664,12 +659,6 @@ class ChainOperators:
             e.append((d * e[-1] + self.var * e[-2]) / j)
         return _DenseSolver(T), [lambda u, ej=ej: T @ (ej * u) for ej in e[1:]]
 
-    @property
-    def rho(self) -> InvariantDensity:
-        if self._rho is None:
-            self._rho = invariant_density(self.spec)
-        return self._rho
-
     def eigendata(self, z: complex) -> EigenData:
         z = complex(z)
         z = z if z.imag else z.real
@@ -677,12 +666,20 @@ class ChainOperators:
             self.tilted(z), weight=1.0, sort="abs", positive=isinstance(z, float)), MAX_TILTS)
 
     def perron(self, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
-        ed = self.eigendata(float(theta))
-        return float(np.real(ed.value)), ed.g, ed.psi
+        return _real_pair(self.eigendata(float(theta)))
 
     def mu(self, theta: float) -> float:
         """log Perron root of the time-1 tilted transfer matrix."""
         return float(np.log(self.perron(theta)[0]))
+
+    def steps(self, t: float) -> int:
+        """The step count of the chain horizon t, a nonnegative integer to
+        1e-9; ValueError naming t otherwise."""
+        t = float(t)
+        steps = round(t) if math.isfinite(t) else -1
+        if steps < 0 or abs(t - steps) > 1e-9:
+            raise ValueError(f"chain horizons are nonnegative integer step counts, got {t}")
+        return steps
 
     def lattice(self) -> tuple[float, float] | None:
         """(span, per-step offset) when increments are deterministic on a
@@ -703,7 +700,7 @@ class ChainOperators:
 
 
 def _real_pair(ed: EigenData) -> tuple[float, np.ndarray, np.ndarray]:
-    """(mu, g, psi) of a real tilt's dense centre."""
+    """(value, g, psi) of a real tilt's dense top_eigen_data."""
     return float(np.real(ed.value)), ed.g, ed.psi
 
 

@@ -22,6 +22,7 @@ a closed form.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -174,14 +175,11 @@ def mgf(spec: ModelSpec, frame: EvaluationFrame, z: complex, t: float, *,
 
 
 def _check_time(ops, t) -> float | int:
-    if t <= 0:
-        raise ValueError(f"time horizon must be positive, got {t}")
-    if ops.is_chain:
-        steps = int(round(float(t)))
-        if abs(t - steps) > 1e-9:
-            raise ValueError(f"chain horizons are integer step counts, got {t}")
-        return steps
-    return float(t)
+    """A horizon t, finite and positive: a step count on a chain
+    (``ChainOperators.steps``), a float on a diffusion."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"time horizon must be finite and positive, got {t}")
+    return ops.steps(t) if ops.is_chain else float(t)
 
 
 def _inversion_setup(spec: ModelSpec, a: float, t_list, n, rel_tol):
@@ -189,9 +187,9 @@ def _inversion_setup(spec: ModelSpec, a: float, t_list, n, rel_tol):
     the rate point of level a, the workspace and the checked horizons."""
     if not 0.0 < rel_tol < 1.0:  # NaN and infinities fail the comparison too
         raise ValueError(f"rel_tol must be finite and in (0, 1), got {rel_tol}")
-    rp = rate_point(spec, a, n=n)
     ops = operators_for(spec, n)
-    return rp, ops, [_check_time(ops, t) for t in t_list]
+    ts = [_check_time(ops, t) for t in t_list]
+    return rate_point(spec, a, n=n), ops, ts
 
 
 def exact_tail(spec: ModelSpec, frame: EvaluationFrame, a: float, t: float, *,

@@ -93,16 +93,6 @@ class TabulatedField:
     def derivative(self, x):
         return _periodic_interp(np.asarray(x, dtype=float), periodic_slope(self._table()))
 
-    @property
-    def max_harmonic(self) -> int:
-        # resolved content is bounded by the table's own Nyquist frequency
-        return self.n // 2
-
-    @property
-    def is_constant(self) -> bool:
-        tab = self._table()
-        return bool(np.ptp(tab) == 0.0)
-
     def shifted(self, offset: float) -> "TabulatedField":
         return TabulatedField(tuple(v + float(offset) for v in self.values))
 
@@ -169,20 +159,20 @@ def field_from_config(obj, key: str = "field") -> Field:
         return config_numbers(obj.get(name, ()), f"{key}.{name}")
 
     if kind == "constant":
-        _require_keys(obj, {"type", "value"})
+        check_keys(obj, {"type", "value"}, key, required={"value"})
         return constant(num("value"))
     if kind == "zero":
-        _require_keys(obj, {"type"})
+        check_keys(obj, {"type"}, key)
         return zero()
     if kind == "harmonic":
-        _require_keys(obj, {"type", "kind", "k", "amplitude", "phase"}, optional={"k", "amplitude", "phase"})
+        check_keys(obj, {"type", "kind", "k", "amplitude", "phase"}, key, required={"kind"})
         return harmonic(obj["kind"], config_integer(obj.get("k", 1), f"{key}.k"),
                         num("amplitude", 1.0), num("phase", 0.0))
     if kind == "fourier":
-        _require_keys(obj, {"type", "const", "cos", "sin"}, optional={"const", "cos", "sin"})
+        check_keys(obj, {"type", "const", "cos", "sin"}, key)
         return FourierField(const=num("const", 0.0), cos=nums("cos"), sin=nums("sin"))
     if kind == "tabulated":
-        _require_keys(obj, {"type", "values"})
+        check_keys(obj, {"type", "values"}, key, required={"values"})
         return TabulatedField(nums("values"))
     raise ConfigError(f"unknown field type {kind!r}")
 
@@ -214,10 +204,14 @@ def config_integer(value, key: str) -> int:
     return i
 
 
-def _require_keys(obj: dict, allowed: set, optional: set = frozenset()):
-    unknown = set(obj) - allowed
+def check_keys(obj, allowed, where: str, required=()):
+    """ConfigError naming ``where`` unless obj is an object whose keys are
+    among ``allowed`` and include every key of ``required``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj).difference(allowed)
     if unknown:
-        raise ConfigError(f"unknown field key(s): {', '.join(sorted(unknown))}")
-    missing = (allowed - optional - {"type"}) - set(obj)
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+    missing = set(required).difference(obj)
     if missing:
-        raise ConfigError(f"missing field key(s): {', '.join(sorted(missing))}")
+        raise ConfigError(f"{where}: missing key(s) {', '.join(sorted(missing))}")

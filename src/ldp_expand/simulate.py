@@ -25,7 +25,7 @@ from .errors import DegenerateSpectrumError, SampleSizeError
 from .fields import FourierField, TabulatedField, _periodic_interp, periodic_slope
 from .model import EvaluationFrame, TorusDiffusionSpec
 from .rate import rate_point
-from .spectral import effective_diffusivity_core, solve_corrector
+from .spectral import effective_diffusivity_core, solve_corrector, spectral_mu_prime
 
 MAX_DT = 1e-2
 _BLOCK_STEPS = 32
@@ -305,7 +305,7 @@ def tilted_dynamics(spec: TorusDiffusionSpec, theta: float, *,
         new_v0 = spec.drift_v0
     else:
         new_v0 = TabulatedField(tuple(np.asarray(spec.drift_v0(ops.x)) + extra))
-    if isinstance(spec.obs_noise_sigma, FourierField) and spec.obs_noise_sigma.is_constant:
+    if _is_const(spec.obs_noise_sigma):
         new_b = spec.obs_drift_b.shifted(theta * float(spec.obs_noise_sigma.const) ** 2)
     else:
         new_b = TabulatedField(tuple(np.asarray(spec.obs_drift_b(ops.x)) + theta * ops.sigma2))
@@ -315,53 +315,45 @@ def tilted_dynamics(spec: TorusDiffusionSpec, theta: float, *,
 def estimate_tail_is(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
                      t: float, dt: float, n_paths: int, seed: int, *,
                      n: int | None = None) -> ISEstimate:
-    """Importance-sampled tail estimate under the tilted dynamics with the
-    change-of-measure weight  e^{-theta Y_t + t mu(theta)} g(X_0)/g(X_t)."""
+    """Importance-sampled tail estimate under the dynamics tilted by theta_a
+    (``_estimate``); SampleSizeError when the effective sample size is
+    below 10."""
     _check_run(t, dt, n_paths, min_paths=2)
-    rp = rate_point(spec, a, n=n)
-    theta = rp.theta
-    ops = operators_for(spec, n)
-    log_g = np.log(ops.perron(theta)[1])
-    i0 = frame.index_on(ops.grid.n)
-    x0 = i0 * ops.dx
-    tspec = tilted_dynamics(spec, theta, n=n)
-    batch = euler_maruyama(tspec, t, dt, n_paths, seed, x0=x0)
-    mu_t = ops.mu(theta)
-    log_w = (-theta * batch.y_final + t * mu_t
-             + log_g[i0] - _periodic_interp(batch.x_final, log_g))
-    hits = batch.y_final >= a * t
-    w = np.where(hits, np.exp(log_w), 0.0)
-    p_hat = float(np.mean(w))
-    stderr = float(np.std(w, ddof=1) / np.sqrt(n_paths))
-    n_hits = int(np.count_nonzero(hits))
-    if n_hits:
-        wh = w[hits]
-        ess = float(np.sum(wh) ** 2 / np.sum(wh * wh))
-    else:
-        ess = 0.0
-    if ess < 10.0:
+    est = _estimate(spec, frame, a, t, dt, n_paths, seed, rate_point(spec, a, n=n).theta, n)
+    if est.ess < 10.0:
         raise SampleSizeError(
-            f"effective sample size {ess:.1f} < 10; use a shorter horizon or re-tune the tilt")
-    return ISEstimate(p_hat=p_hat, stderr=stderr, ess=ess, theta=theta,
-                      n_paths=int(n_paths), n_hits=n_hits)
+            f"effective sample size {est.ess:.1f} < 10; use a shorter horizon or re-tune the tilt")
+    return est
 
 
 def estimate_tail_mc(spec: TorusDiffusionSpec, frame: EvaluationFrame, a: float,
                      t: float, dt: float, n_paths: int, seed: int, *,
                      n: int | None = None) -> ISEstimate:
-    """Naive indicator-mean baseline; documents zero-hit outcomes instead of
-    raising so that rare-event failure is visible data."""
+    """Naive indicator-mean baseline: ``_estimate`` at theta = 0, where every
+    hit weighs 1.  Zero hits are reported, not raised, so that rare-event
+    failure is visible data."""
     _check_run(t, dt, n_paths, min_paths=2)
+    return _estimate(spec, frame, a, t, dt, n_paths, seed, 0.0, n)
+
+
+def _estimate(spec, frame, a, t, dt, n_paths, seed, theta, n) -> ISEstimate:
+    """Weighted indicator mean of S_t >= a t over paths of the dynamics tilted
+    by theta, each hit weighted by the change of measure
+    e^{-theta Y_t + t mu(theta)} g(X_0)/g(X_t); at theta = 0 the dynamics are
+    the model's and the weight is exactly 1 (mu(0) = 0, g = 1)."""
     ops = operators_for(spec, n)
+    log_g = np.log(ops.perron(theta)[1])
     i0 = frame.index_on(ops.grid.n)
-    batch = euler_maruyama(spec, t, dt, n_paths, seed, x0=i0 * ops.dx)
+    batch = euler_maruyama(tilted_dynamics(spec, theta, n=n), t, dt, n_paths, seed,
+                           x0=i0 * ops.dx)
+    log_w = (-theta * batch.y_final + t * ops.mu(theta)
+             + log_g[i0] - _periodic_interp(batch.x_final, log_g))
     hits = batch.y_final >= a * t
-    w = hits.astype(float)
-    p_hat = float(np.mean(w))
-    stderr = float(np.std(w, ddof=1) / np.sqrt(n_paths))
-    n_hits = int(np.count_nonzero(hits))
-    return ISEstimate(p_hat=p_hat, stderr=stderr, ess=float(n_hits), theta=0.0,
-                      n_paths=int(n_paths), n_hits=n_hits)
+    w = np.where(hits, np.exp(log_w), 0.0)
+    n_hits, wh = int(np.count_nonzero(hits)), w[hits]
+    ess = float(np.sum(wh) ** 2 / np.sum(wh * wh)) if n_hits else 0.0
+    return ISEstimate(p_hat=float(np.mean(w)), stderr=float(np.std(w, ddof=1) / np.sqrt(n_paths)),
+                      ess=ess, theta=theta, n_paths=int(n_paths), n_hits=n_hits)
 
 
 def corrector(spec: TorusDiffusionSpec, theta: float, *, n: int | None = None) -> Corrector:
@@ -401,7 +393,7 @@ def decorrelation_check(spec: TorusDiffusionSpec, theta: float, t_list,
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     x_init = _sample_stationary(pi, ops.dx, n_paths, seed)
-    c_theta = corrector(spec, theta, n=n).c_theta
+    c_theta = spectral_mu_prime(ops, theta)
     tspec = tilted_dynamics(spec, theta, n=n)
     rows = []
     for t in sorted(t_list):

@@ -389,7 +389,7 @@ def _semigroup(ops, z: complex, ts, mu_ref: float) -> dict[float, np.ndarray]:
     ts = sorted({float(t) for t in ts})
     if ops.is_chain:
         T = ops.tilted(z) * np.exp(-mu_ref)
-        return {t: np.linalg.matrix_power(T, _chain_steps(t)) for t in ts}
+        return {t: np.linalg.matrix_power(T, ops.steps(t)) for t in ts}
     z = complex(z)
     A = ops.tilted(z.real if z.imag == 0.0 else z)
     idx = np.arange(A.shape[0])
@@ -407,13 +407,6 @@ def _semigroup(ops, z: complex, ts, mu_ref: float) -> dict[float, np.ndarray]:
             k += 1
         out[t] = M
     return out
-
-
-def _chain_steps(t: float) -> int:
-    steps = int(round(t))
-    if abs(t - steps) > 1e-9 or steps < 0:
-        raise ValueError(f"chain semigroup times must be nonnegative integers, got {t}")
-    return steps
 
 
 def _fit_decay(samples):

@@ -54,6 +54,13 @@ def test_unknown_key_rejected(tmp_path):
                                                  "theta_max": 8.0}))
 
 
+def test_expand_order_is_no_config_key():
+    # expand reads the top-level order, which --order sets
+    with pytest.raises(ConfigError, match=r"expand: unknown key\(s\) order"):
+        cli.parse_config_dict({"model": {"builtin": "gaussian_baseline"},
+                               "expand": {"a": 1.0, "order": 6}})
+
+
 def test_inline_torus_model_parses(tmp_path):
     payload = {"model": {"kind": "torus_diffusion", "grid_n": 64,
                          "fields": {"V": [1.0], "V0": {"type": "zero"}},
@@ -109,12 +116,16 @@ RUN_SECTION_MALFORMED = [
     ({"simulate": {"method": "bogus"}}, "simulate.method"),
     ({"simulate": {"t": "nan"}}, "simulate.t"),
     ({"expand": {"a": "x"}}, "expand.a"),
-    ({"expand": {"order": -3}}, "expand.order"),
+    ({"order": -3}, "order"),
 ]
 MALFORMED += RUN_SECTION_MALFORMED + [
     ({"simulate": 5}, "simulate"),
     ({"conditions": [1.0]}, "conditions"),
     ({"expand": "x"}, "expand"),
+    ({"t_grid": [16, 32, 64, "nan", 256]}, "t_grid entries must be finite"),
+    ({"a_grid": [0.5, float("inf")]}, "a_grid entries must be finite"),
+    ({"theta_grid": {"min": 0.0, "max": float("nan"), "steps": 3}},
+     "theta_grid entries must be finite"),
 ]
 CONDITION_GRID_CASES = [
     pytest.param({"conditions": {key: value}}, f"conditions.{key}", id=f"conditions.{key}-{name}")
@@ -286,8 +297,7 @@ def test_validate_exit_codes(tmp_path):
 
 
 def test_expand_writes_fit_summary(tmp_path):
-    payload = dict(BASE, output_dir=str(tmp_path / "out2"),
-                   expand={"a": 1.0, "order": 6})
+    payload = dict(BASE, output_dir=str(tmp_path / "out2"), order=6)
     path = write_config(tmp_path, payload)
     proc = run_cli(["expand", "--config", str(path), "--svg"])
     assert proc.returncode == 0, proc.stderr
@@ -390,7 +400,7 @@ def test_verify_conditions_reports_library_value_error(tmp_path):
                "output_dir": str(tmp_path / "noisy")}
     proc = run_cli(["verify-conditions", "--config", str(write_config(tmp_path, payload))])
     assert proc.returncode == 1
-    assert "error: chain semigroup times must be nonnegative integers" in proc.stderr
+    assert "error: chain horizons are nonnegative integer step counts" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -401,7 +411,7 @@ def test_expand_force_reports_library_value_error(tmp_path):
                "output_dir": str(tmp_path / "noisy")}
     proc = run_cli(["expand", "--config", str(write_config(tmp_path, payload)), "--force"])
     assert proc.returncode == 1
-    assert "error: chain horizons are integer step counts" in proc.stderr
+    assert "error: chain horizons are nonnegative integer step counts" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -440,7 +450,7 @@ def test_a_flag_is_checked_as_the_config_entry_it_names(tmp_path):
     path = write_config(tmp_path, dict(BASE, output_dir=str(out)))
     proc = run_cli(["expand", "--config", str(path), "--order", "-3", "--force"])
     assert proc.returncode == 1
-    assert proc.stderr.startswith("config error:") and "expand.order" in proc.stderr
+    assert proc.stderr.startswith("config error:") and "order must be positive" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "expand.csv").exists()
 

@@ -458,6 +458,39 @@ def test_a_dense_centre_reseeds_its_saddle_line(mathieu, monkeypatch):
     assert ops.top_pair(0.5, 2.0)[0] == ref.top_pair(0.5, 2.0)[0]
 
 
+def test_a_failing_rung_goes_dense_once(mathieu, monkeypatch):
+    # the tilts above a rung whose continuation fails continue from that rung's
+    # dense centre, taken once; a centre that perron made dense is not solved again
+    from ldp_expand._eigen import top_eigen_data
+    real_rqi, real_dense = DiffusionOperators._rqi, DiffusionOperators._dense_centre
+    failed, dense = [], []
+
+    def rqi(self, theta, seed):
+        if theta == 1.0:
+            failed.append(theta)
+            return None
+        return real_rqi(self, theta, seed)
+
+    def dense_centre(self, theta):
+        dense.append(theta)
+        return real_dense(self, theta)
+
+    monkeypatch.setattr(DiffusionOperators, "_rqi", rqi)
+    monkeypatch.setattr(DiffusionOperators, "_dense_centre", dense_centre)
+    ops = DiffusionOperators(mathieu, 256)
+    pairs = {theta: ops.perron(theta) for theta in (1.3, 1.7, 2.2, 2.6)}
+    assert failed == [1.0] and dense == [1.0]
+    assert ops.dense_centres == {1.0}
+    for theta, (mu, g, _) in pairs.items():
+        ref = top_eigen_data(ops.tilted(theta), weight=ops.weight, positive=True)
+        assert abs(mu - ref.value) <= 1e-12 * abs(ref.value), theta
+        assert np.max(np.abs(g - ref.g)) <= 5e-12, theta
+    fresh = DiffusionOperators(mathieu, 256)
+    ed = fresh.eigendata(1.0)
+    assert failed == [1.0, 1.0] and dense == [1.0, 1.0]
+    assert ed is fresh._tilts[1.0].centre and fresh.perron(1.0)[1] is ed.g
+
+
 HISTORIES = {
     "rate_points": lambda m, f, n: [lx.rate_point(m, a, n=n) for a in (0.1, 0.5, 0.6)],
     "tail_t400": lambda m, f, n: lx.exact_tail(m, f, 0.3, 400.0, n=n),

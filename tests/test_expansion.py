@@ -7,6 +7,7 @@ from scipy.special import comb
 from scipy.stats import norm
 
 import ldp_expand as lx
+from ldp_expand import expansion
 from ldp_expand.discretize import DiffusionOperators
 from ldp_expand.errors import (AdmissibilityError, AdmissibleRangeError,
                                ConvergenceError, FitError, SemigroupOverflowError)
@@ -66,6 +67,20 @@ def test_tail_rejects_nonpositive_time(gaussian, frame):
         lx.exact_tail(gaussian, frame, 1.0, 0.0, n=64)
     with pytest.raises(ValueError):
         lx.exact_tail(gaussian, frame, 1.0, -3.0, n=64)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_horizon_is_refused_before_any_solve(gaussian, pm1_chain, frame,
+                                                        monkeypatch, t):
+    def no_rate_point(*args, **kwargs):
+        raise AssertionError("the rate point was solved for a non-finite horizon")
+
+    monkeypatch.setattr(expansion, "rate_point", no_rate_point)
+    for spec, a, n in ((gaussian, 1.0, 64), (pm1_chain, 0.6, None)):
+        with pytest.raises(ValueError, match=f"time horizon must be finite and positive, got {t}"):
+            lx.exact_tail(spec, frame, a, t, n=n)
+        with pytest.raises(ValueError, match=f"time horizon must be finite and positive, got {t}"):
+            lx.mgf(spec, frame, 0.5, t, n=n)
 
 
 def test_chain_tail_matches_binomial(pm1_chain, frame):

@@ -68,6 +68,14 @@ def test_field_config_rejects_unknown_keys():
         fields.field_from_config({"type": "tabulated"})
 
 
+def test_field_errors_name_the_key_path():
+    with pytest.raises(ConfigError, match=r"model.observable.b: unknown key\(s\) ampl"):
+        fields.field_from_config({"type": "harmonic", "kind": "cos", "ampl": 2},
+                                 "model.observable.b")
+    with pytest.raises(ConfigError, match=r"model.fields.V\[1\]: missing key\(s\) values"):
+        fields.field_from_config({"type": "tabulated"}, "model.fields.V[1]")
+
+
 def test_number_shorthand_is_constant():
     f = fields.field_from_config(3)
     assert f.is_constant and f.const == 3.0

@@ -7,7 +7,8 @@ import pytest
 from scipy.stats import norm
 
 import ldp_expand as lx
-from ldp_expand import fields, simulate
+from ldp_expand import fields, simulate, spectral
+from ldp_expand.discretize import operators_for
 from ldp_expand.errors import SampleSizeError
 from ldp_expand.model import TorusDiffusionSpec
 
@@ -330,6 +331,17 @@ def test_decorrelation_gaussian_identically_zero(gaussian):
 def test_decorrelation_empty_horizons(gaussian):
     rep = lx.decorrelation_check(gaussian, 1.0, [], 100, seed=6, n=64)
     assert rep.rows == ()
+
+
+def test_decorrelation_check_reads_c_theta_without_a_corrector_solve(mathieu, monkeypatch):
+    # c_theta = mu'(theta) is the order-1 Taylor coefficient, which takes no solve
+    calls, real = [], spectral._perturbation
+    monkeypatch.setattr(spectral, "_perturbation", lambda *args: calls.append(args) or real(*args))
+    lx.clear_caches()
+    lx.decorrelation_check(mathieu, 0.5, (1.0,), 100, seed=3, n=128)
+    assert calls == []
+    ops = operators_for(mathieu, 128)
+    assert spectral.spectral_mu_prime(ops, 0.5) == lx.corrector(mathieu, 0.5, n=128).c_theta
 
 
 def test_decorrelation_mathieu_decays(mathieu):

@@ -671,14 +671,14 @@ def test_centre_off_the_top_branch_is_dense(mathieu, monkeypatch):
     lx.clear_caches()
     want = lx.run_condition_suite(mathieu, *grids, n=n)
     _, gap = top_gap(spectrum(operators_for(mathieu, n).tilted(0.5)))
-    real = DiffusionOperators._ladder
+    real = DiffusionOperators._rqi
 
-    def off_branch(self, theta):
+    def off_branch(self, theta, seed):
         # the continued pair at 0.5 comes back 0.6 gap below the top
-        mu, g, psi = real(self, theta)
+        mu, g, psi = real(self, theta, seed)
         return (mu - 0.6 * gap if theta == 0.5 else mu), g, psi
 
-    monkeypatch.setattr(DiffusionOperators, "_ladder", off_branch)
+    monkeypatch.setattr(DiffusionOperators, "_rqi", off_branch)
     lx.clear_caches()
     got = lx.run_condition_suite(mathieu, *grids, n=n)
     ops = operators_for(mathieu, n)
