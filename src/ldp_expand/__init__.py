@@ -18,8 +18,7 @@ from .simulate import (Corrector, ISEstimate, TrajectoryBatch, corrector,
                        decorrelation_check, effective_diffusivity,
                        estimate_tail_is, estimate_tail_mc, euler_maruyama,
                        tilted_dynamics)
-from .spectral import (DecayProfile, cgf, cgf_derivatives, decay_profile,
-                       decomposition_check)
+from .spectral import DecayProfile, cgf, cgf_derivatives, decay_profile
 from .verify import (ChainTailOracle, ConditionReport, ConditionVerdict,
                      brute_force_chain_tail, chain_distribution,
                      projector_time_independence, run_condition_suite)

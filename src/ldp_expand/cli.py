@@ -1,4 +1,4 @@
-"""Config ingestion, command dispatch, CSV/SVG reporting.
+"""Config ingestion, command dispatch, CSV reporting.
 
 Commands: validate, rate, spectral, expand, simulate, verify-conditions,
 report, emit-config.  Configs are strict-schema JSON; unknown keys are
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expansion, model, rate, simulate, spectral, verify
 from .discretize import operators_for
-from .errors import ConfigError, LdpExpandError
+from .errors import ConfigError, LdpExpandError, ModelValidationError
 from .fields import check_keys, config_integer, config_number, config_numbers, field_from_config
 from .model import (DiscreteChainSpec, EvaluationFrame, ModelSpec,
                     TorusDiffusionSpec, validate_spec)
@@ -124,6 +124,10 @@ def parse_config_dict(raw: dict) -> RunConfig:
     spec, frame, model_grid_n = _parse_model(cfg["model"])
     if model_grid_n is not None:
         grid_n = model_grid_n
+    try:
+        frame.index_on(spec.n_states if isinstance(spec, DiscreteChainSpec) else grid_n)
+    except ModelValidationError as exc:
+        raise ConfigError(f"eval_frame.x0: {exc}") from None
     simulate = _simulate_section(cfg["simulate"])
     conditions = _condition_grids(cfg["conditions"])
     check_keys(cfg["expand"], DEFAULTS["expand"], "expand")
@@ -176,7 +180,10 @@ def _grid(obj, key: str) -> tuple[float, ...]:
         lo = config_number(obj["min"], f"{key}.min")
         hi = config_number(obj["max"], f"{key}.max")
         steps = _positive_int(obj.get("steps", 9), f"{key}.steps")
-        geometric = obj.get("scale", "linear") == "geometric"
+        scale = obj.get("scale", "linear")
+        if scale not in ("linear", "geometric"):
+            raise ConfigError(f"{key}.scale must be 'linear' or 'geometric', got {scale!r}")
+        geometric = scale == "geometric"
         if geometric and lo <= 0:
             raise ConfigError(f"{key}: geometric grids need min > 0")
         grid = tuple((np.geomspace if geometric else np.linspace)(lo, hi, steps))
@@ -254,10 +261,17 @@ def _model_grid_n(obj: dict) -> int | None:
 
 
 def _parse_frame(obj) -> EvaluationFrame:
+    """The evaluation frame: an integer x0 is a grid or state index, any
+    other finite number a torus position; ``parse_config_dict`` checks its
+    range once the grid is known."""
     if obj is None:
         return EvaluationFrame()
     check_keys(obj, {"x0", "v"}, "eval_frame")
     x0 = obj.get("x0", 0)
+    if isinstance(x0, bool) or not (isinstance(x0, int)
+                                    or isinstance(x0, float) and np.isfinite(x0)):
+        raise ConfigError(f"eval_frame.x0 must be an integer index or a finite position, "
+                          f"got {x0!r}")
     v = obj.get("v")
     if v is not None:
         v = config_numbers(v, "eval_frame.v")
@@ -286,63 +300,10 @@ def write_csv(path: Path, command: str, config_hash: str, header: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
-def svg_line_plot(path: Path, x, series: dict[str, np.ndarray], *, title: str = "",
-                  xlabel: str = "", ylabel: str = "", size=(640, 420)) -> None:
-    """Self-contained polyline SVG writer (no plotting dependencies)."""
-    width, height = size
-    mleft, mright, mtop, mbot = 64, 16, 28, 44
-    x = np.asarray(x, dtype=float)
-    ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
-    all_y = np.concatenate(list(ys.values()))
-    x0, x1 = float(np.min(x)), float(np.max(x))
-    y0, y1 = float(np.min(all_y)), float(np.max(all_y))
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-
-    def sx(v):
-        return mleft + (v - x0) / (x1 - x0) * (width - mleft - mright)
-
-    def sy(v):
-        return height - mbot - (v - y0) / (y1 - y0) * (height - mtop - mbot)
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>',
-             f'<rect x="{mleft}" y="{mtop}" width="{width - mleft - mright}" '
-             f'height="{height - mtop - mbot}" fill="none" stroke="#444"/>']
-    for k in range(5):
-        xv = x0 + k * (x1 - x0) / 4
-        yv = y0 + k * (y1 - y0) / 4
-        parts.append(f'<text x="{sx(xv):.1f}" y="{height - mbot + 16}" font-size="11" '
-                     f'text-anchor="middle">{xv:.4g}</text>')
-        parts.append(f'<text x="{mleft - 6}" y="{sy(yv):.1f}" font-size="11" '
-                     f'text-anchor="end">{yv:.4g}</text>')
-    for i, (label, yvals) in enumerate(ys.items()):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, yvals))
-        color = colors[i % len(colors)]
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-        parts.append(f'<text x="{width - mright - 8}" y="{mtop + 16 + 14 * i}" font-size="12" '
-                     f'text-anchor="end" fill="{color}">{label}</text>')
-    if title:
-        parts.append(f'<text x="{width / 2}" y="16" font-size="13" text-anchor="middle">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{width / 2}" y="{height - 8}" font-size="12" text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="14" y="{height / 2}" font-size="12" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {height / 2})">{ylabel}</text>')
-    parts.append("</svg>")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
-def run(command: str, config: RunConfig, *, force: bool = False, svg: bool = False) -> int:
+def run(command: str, config: RunConfig, *, force: bool = False) -> int:
     """Execute one subcommand against a parsed config; returns the exit code
     (0 success, 1 error, 2 condition-suite failure)."""
     handler = _COMMANDS.get(command)
@@ -350,7 +311,7 @@ def run(command: str, config: RunConfig, *, force: bool = False, svg: bool = Fal
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return 1
     try:
-        return handler(config, force=force, svg=svg)
+        return handler(config, force=force)
     except (LdpExpandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -391,7 +352,7 @@ def _cmd_spectral(cfg: RunConfig, **_) -> int:
     return 0
 
 
-def _cmd_expand(cfg: RunConfig, force: bool, svg: bool) -> int:
+def _cmd_expand(cfg: RunConfig, force: bool) -> int:
     a, order = cfg.expand["a"], cfg.order
     if not force:
         theta_a = rate.solve_theta(cfg.spec, a, n=cfg.grid_n)
@@ -405,8 +366,8 @@ def _cmd_expand(cfg: RunConfig, force: bool, svg: bool) -> int:
     fit = expansion.extract_coefficients(cfg.spec, cfg.frame, a, curve.t, order=order,
                                          n=cfg.grid_n, curve=curve)
     d0 = expansion.leading_coefficient(cfg.spec, cfg.frame, a, n=cfg.grid_n)
-    flat = curve.flattened()
-    rows = [[t, p, q, f] for t, p, q, f in zip(curve.t, curve.prob, curve.normalized, flat)]
+    rows = [[t, p, q, f] for t, p, q, f in
+            zip(curve.t, curve.prob, curve.normalized, curve.flattened())]
     write_csv(cfg.output_dir / "expand.csv", "expand", cfg.config_hash(),
               ["t", "P", "exp(It)P", "sqrt(t)exp(It)P"], rows)
     fit_rows = [[a, order, k, c] for k, c in enumerate(fit.coefficients)]
@@ -415,11 +376,6 @@ def _cmd_expand(cfg: RunConfig, force: bool, svg: bool) -> int:
     fit_rows.append([a, order, "D0_analytic", d0])
     write_csv(cfg.output_dir / "expand_fit.csv", "expand", cfg.config_hash(),
               ["a", "order", "quantity", "value"], fit_rows)
-    if svg:
-        svg_line_plot(cfg.output_dir / "expand.svg", 1.0 / np.asarray(curve.t),
-                      {"sqrt(t) exp(It) P": flat, "D0 analytic": np.full(len(curve.t), d0)},
-                      title=f"normalized tail flattening at a={a:g}",
-                      xlabel="1/t", ylabel="sqrt(t) exp(It) P")
     print(f"expand: D0 fitted {fit.d0:.9g} vs analytic {d0:.9g} "
           f"({100 * abs(fit.d0 - d0) / d0:.3f}% apart)")
     return 0
@@ -586,7 +542,6 @@ def main(argv=None) -> int:
             p.add_argument(f"--{flag}", **options)
         if name == "expand":
             p.add_argument("--force", action="store_true")
-            p.add_argument("--svg", action="store_true")
 
     args = parser.parse_args(argv)
     if args.command is None:
@@ -607,8 +562,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return run(args.command, cfg,
-               force=getattr(args, "force", False), svg=getattr(args, "svg", False))
+    return run(args.command, cfg, force=getattr(args, "force", False))
 
 
 if __name__ == "__main__":

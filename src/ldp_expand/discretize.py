@@ -7,13 +7,16 @@ workspaces, both through ``_recent`` under one lock, so threads may share a
 workspace; a stored value is a function of its key, so it is rebuilt bit for
 bit after eviction.
 
-The torus generator uses the divergence-form second-order stencil
+The generator of the Stratonovich SDE dX = sum V_i(X) o dW_i + V0(X) dt is
+the sum of squares (1/2) sum V_i (V_i u')' + V0 u' = (1/2) (d u')' + c u'
+with d = V V^T and c = V0 - (1/2) sum V_i V_i'.  It uses the divergence-form
+second-order stencil
 
     (A u)_i = (1/2) [ d_{i+1/2} (u_{i+1} - u_i) - d_{i-1/2} (u_i - u_{i-1}) ] / dx^2
-              + V0_i (u_{i+1} - u_{i-1}) / (2 dx),
+              + c_i (u_{i+1} - u_{i-1}) / (2 dx),
 
-with midpoint-averaged d = V V^T, which keeps constants in the kernel
-exactly and stays self-adjoint when V0 = 0.  Tilting adds the diagonal
+with midpoint-averaged d, which keeps constants in the kernel exactly and
+stays self-adjoint when c = 0.  Tilting adds the diagonal
 z b(x) + z^2 sigma(x)^2 / 2.  The stencil is held as three periodic
 diagonals (``CyclicTridiagonal``); dense matrices are built from it only
 where a full spectrum or a matrix exponential is needed.
@@ -209,17 +212,18 @@ def _prev(u: np.ndarray) -> np.ndarray:
 
 
 def generator_stencil(spec: TorusDiffusionSpec, grid: PeriodicGrid) -> CyclicTridiagonal:
-    """Divergence-form discretization of A u = (1/2) div(V V^T grad u) + V0 grad u."""
+    """Divergence-form discretization of the Stratonovich generator
+    A u = (1/2) div(V V^T grad u) + (V0 - (1/2) sum V_i V_i') grad u."""
     _check_torus(spec, grid)
     dx = grid.dx
     x = grid.points()
     d = spec.diffusion_coeff(x)
-    v0 = np.asarray(spec.drift_v0(x), dtype=float)
+    c = np.asarray(spec.drift_v0(x), dtype=float) - spec.stratonovich_correction(x)
 
     d_plus = 0.5 * (d + np.roll(d, -1))     # d_{i+1/2}
     d_minus = np.roll(d_plus, 1)            # d_{i-1/2}
-    up = 0.5 * d_plus / dx**2 + v0 / (2.0 * dx)
-    lo = 0.5 * d_minus / dx**2 - v0 / (2.0 * dx)
+    up = 0.5 * d_plus / dx**2 + c / (2.0 * dx)
+    lo = 0.5 * d_minus / dx**2 - c / (2.0 * dx)
     if np.any(up < 0.0) or np.any(lo < 0.0):
         raise GridResolutionError(
             "drift overwhelms diffusion at this resolution (negative off-diagonal); refine the grid")

@@ -122,14 +122,14 @@ def _check_run(t: float, dt: float, n_paths: int, min_paths: int = 1) -> None:
 
 
 def euler_maruyama(spec: TorusDiffusionSpec, t: float, dt: float, n_paths: int,
-                   seed: int, *, x0: float = 0.0, stratonovich: bool = True,
+                   seed: int, *, x0: float = 0.0,
                    x_init: np.ndarray | None = None) -> TrajectoryBatch:
     """Euler-Maruyama stepping of the torus coordinate and the observable.
 
-    The torus drift is V0 plus the Stratonovich correction (1/2) sum V_i V_i'
-    (omitted with ``stratonovich=False`` for an Ito reading); the observable
-    steps with b(X) dt + sigma(X) dW~ from the independent stream.  Weak
-    order one in dt.
+    The torus drift is V0 plus the Stratonovich correction (1/2) sum V_i V_i',
+    which is the Ito form of dX = sum V_i(X) o dW_i + V0(X) dt; the observable
+    steps with b(X) dt + sigma(X) dW~ from the independent stream.  Weak order
+    one in dt.
     """
     if not isinstance(spec, TorusDiffusionSpec):
         raise TypeError("path simulation is defined for torus diffusions")
@@ -154,7 +154,7 @@ def euler_maruyama(spec: TorusDiffusionSpec, t: float, dt: float, n_paths: int,
                                   spec.obs_drift_b, spec.obs_noise_sigma)):
         _advance_linear(spec, X, Y, n_steps, dt, seed)
     else:
-        _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich)
+        _advance_stepping(spec, X, Y, n_steps, dt, seed)
     X -= np.floor(X)
     return TrajectoryBatch(t=float(t), dt=float(dt), n_paths=int(n_paths),
                            seed=int(seed), x_initial=x_start, x_final=X, y_final=Y)
@@ -204,7 +204,7 @@ def _lookup(table, idx, frac, out, scratch):
     return out
 
 
-def _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich):
+def _advance_stepping(spec, X, Y, n_steps, dt, seed):
     """Per-step Euler with every non-constant coefficient read from one
     periodic grid table (linear interpolation, one cell lookup per step for
     all of them).  X is kept wrapped into [0, 1].  Noise blocks are drawn
@@ -220,12 +220,10 @@ def _advance_stepping(spec, X, Y, n_steps, dt, seed, stratonovich):
 
     # drift tables carry the factor dt; V_i and sigma tables multiply the noise
     x_shift, x_drift = 0.0, None
-    if not v_const and stratonovich:
-        x_drift = _grid_table((spec.drift_v0(nodes) + spec.stratonovich_correction(nodes)) * dt)
-    elif _is_const(spec.drift_v0):
+    if v_const and _is_const(spec.drift_v0):
         x_shift = float(spec.drift_v0.const) * dt
     else:
-        x_drift = _grid_table(spec.drift_v0(nodes) * dt)
+        x_drift = _grid_table((spec.drift_v0(nodes) + spec.stratonovich_correction(nodes)) * dt)
     v_tables = [None if s is not None else _grid_table(f(nodes))
                 for f, s in zip(spec.fields_v, v_scale)]
     y_drift = None if _is_const(spec.obs_drift_b) else _grid_table(spec.obs_drift_b(nodes) * dt)

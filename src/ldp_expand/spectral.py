@@ -421,72 +421,9 @@ def _fit_decay(samples):
     return (svals[-1] if svals else 0.0), None
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Consistency of exp(tG) = e^{t mu} Pi + R(t) with a geometrically
-    decaying, semigroup-forming remainder.  All norms are relative to the
-    normalized semigroup scale e^{t Re mu}."""
-
-    z: complex
-    rows: tuple[dict, ...]
-    power_residuals: tuple[tuple[int, float], ...]
-
-    @property
-    def remainder_decays(self) -> bool:
-        norms = [r["remainder_norm"] for r in self.rows]
-        floor = 64 * np.finfo(float).eps
-        return all(b < max(0.95 * a, floor) for a, b in zip(norms, norms[1:]))
-
-
-def decomposition_check(spec: ModelSpec, theta: float, s: float, t_list, *,
-                        n: int | None = None) -> DecompositionReport:
-    """Verify the rank-one + remainder decomposition of the tilted semigroup
-    at z = theta + i s, including R(N t) = R(t)^N for N = 2, 3."""
-    ops = operators_for(spec, n)
-    z = complex(float(theta), float(s))
-    ed = ops.eigendata(z if s else float(theta))
-    proj = np.outer(ed.g, ed.psi) * ops.weight
-    mu_ref = ops.mu(float(theta))
-
-    t_sorted = sorted(float(t) for t in t_list)
-    t_all = t_sorted + [N * t_sorted[0] for N in (2, 3)] if t_sorted else []
-    mats = _semigroup(ops, z, t_all, mu_ref)
-    log_top = _log_time1(ops, ed.value) - mu_ref
-    tops = {t: np.exp(log_top * t) * proj for t in mats}
-    rems = {t: mats[t] - tops[t] for t in mats}
-
-    rows = []
-    for t in t_sorted:
-        R = rems[t]
-        rows.append({
-            "t": t,
-            "remainder_norm": _rowsum_norm(R),
-            "reconstruction": _rowsum_norm(mats[t] - (tops[t] + R)),
-            "projector_commutator": _rowsum_norm(proj @ R) + _rowsum_norm(R @ proj),
-        })
-
-    power_residuals = []
-    if t_sorted:
-        t0 = t_sorted[0]
-        for N in (2, 3):
-            diff = _rowsum_norm(rems[N * t0] - np.linalg.matrix_power(rems[t0], N))
-            power_residuals.append((N, diff))
-            if diff > 1e-8:
-                raise ConvergenceError(
-                    f"remainder semigroup property violated at N={N}: residual {diff:.3e}")
-    report = DecompositionReport(z=z, rows=tuple(rows), power_residuals=tuple(power_residuals))
-    if len(rows) > 1 and not report.remainder_decays:
-        raise ConvergenceError("remainder norm does not decay geometrically in t")
-    return report
-
-
 def _rowsum_norm(M: np.ndarray) -> float:
     """Induced max-row-sum norm, the package's operator-norm proxy."""
     return float(np.max(np.sum(np.abs(M), axis=1)))
-
-
-def _log_time1(ops, value):
-    return np.log(complex(value)) if ops.is_chain else complex(value)
 
 
 def convexity_profile(spec: ModelSpec, theta_grid, *, n: int | None = None) -> list[tuple[float, float]]:

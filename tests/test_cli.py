@@ -126,7 +126,20 @@ MALFORMED += RUN_SECTION_MALFORMED + [
     ({"a_grid": [0.5, float("inf")]}, "a_grid entries must be finite"),
     ({"theta_grid": {"min": 0.0, "max": float("nan"), "steps": 3}},
      "theta_grid entries must be finite"),
+    ({"a_grid": {"min": 0.2, "max": 0.8, "steps": 3, "scale": "log"}}, "a_grid.scale"),
 ]
+# eval_frame.x0 is an integer index or a finite position, in range for the grid
+# (gaussian_baseline at grid_n 256) or the chain's states
+GAUSS = {"builtin": "gaussian_baseline"}
+FRAME_CASES = [
+    pytest.param({"model": dict(model, eval_frame={"x0": x0})}, key, id=f"eval_frame.x0-{name}")
+    for model, x0, key, name in (
+        (GAUSS, "abc", "eval_frame.x0", "word"), (GAUSS, [1], "eval_frame.x0", "list"),
+        (GAUSS, True, "eval_frame.x0", "bool"), (GAUSS, float("nan"), "eval_frame.x0", "NaN"),
+        (GAUSS, 256, "index 256 out of range for n=256", "index"),
+        (GAUSS, 10**400, "out of range for n=256", "huge-index"),
+        (GAUSS, 1.5, "position 1.5 must lie in [0, 1)", "position"),
+        (CHAIN, 2, "index 2 out of range for n=2", "chain-index"))]
 CONDITION_GRID_CASES = [
     pytest.param({"conditions": {key: value}}, f"conditions.{key}", id=f"conditions.{key}-{name}")
     for key, value, name in (("s_grid", 5, "number"), ("s_grid", ["abc"], "word"),
@@ -141,7 +154,7 @@ MALFORMED_CASES = [pytest.param(payload, key, id=key) for payload, key in MALFOR
     pytest.param({"theta_max": value}, "theta_max", id=f"theta_max-{name}")
     for value, name in ((float("nan"), "NaN"), ("nan", "nan-string"),
                         (float("inf"), "Infinity"), (0, "zero"), (-1, "negative"))
-] + CONDITION_GRID_CASES
+] + CONDITION_GRID_CASES + FRAME_CASES
 
 
 @pytest.mark.parametrize("payload, key", MALFORMED_CASES)
@@ -154,6 +167,12 @@ def test_malformed_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("config error:")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_eval_frame_takes_an_index_or_a_position():
+    for x0 in (0, 255, 0.0, 0.25):
+        frame = cli.parse_config_dict({"model": dict(GAUSS, eval_frame={"x0": x0})}).frame
+        assert frame.x0 == x0 and type(frame.x0) is type(x0)
 
 
 @pytest.mark.parametrize("payload, key", CONDITION_GRID_CASES)
@@ -299,15 +318,13 @@ def test_validate_exit_codes(tmp_path):
 def test_expand_writes_fit_summary(tmp_path):
     payload = dict(BASE, output_dir=str(tmp_path / "out2"), order=6)
     path = write_config(tmp_path, payload)
-    proc = run_cli(["expand", "--config", str(path), "--svg"])
+    proc = run_cli(["expand", "--config", str(path)])
     assert proc.returncode == 0, proc.stderr
     fit_lines = (tmp_path / "out2" / "expand_fit.csv").read_text().splitlines()
     values = {parts[2]: parts[3] for parts in
               (line.split(",") for line in fit_lines[3:])}
     assert abs(float(values["0"]) - 0.3989422804) < 0.004
     assert abs(float(values["D0_analytic"]) - 0.3989422804) < 1e-6
-    assert (tmp_path / "out2" / "expand.svg").exists()
-    assert "<svg" in (tmp_path / "out2" / "expand.svg").read_text()
 
 
 def test_expand_refuses_failing_model_without_force(tmp_path):

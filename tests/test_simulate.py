@@ -196,18 +196,35 @@ def test_field_calls_do_not_grow_with_steps(monkeypatch, tilted_mathieu):
         assert counts[0] == counts[1] <= 4
 
 
-def test_constant_v_ito_equals_stratonovich(gradient_drift):
-    a = lx.euler_maruyama(gradient_drift, 1.0, 1e-2, 500, seed=4, stratonovich=True)
-    b = lx.euler_maruyama(gradient_drift, 1.0, 1e-2, 500, seed=4, stratonovich=False)
-    assert np.array_equal(a.x_final, b.x_final)  # V constant: correction vanishes
-    assert np.array_equal(a.y_final, b.y_final)
+def _stratonovich_v_spec():
+    """V = 1 + 0.3 cos(2 pi x), V0 = 0, b = cos(2 pi x): the stationary law of
+    dX = V(X) o dW is proportional to 1/V, so E_pi[b] = (sqrt(0.91) - 1) / 0.3."""
+    return replace(_nonconstant_v_spec(), obs_drift_b=fields.harmonic("cos", 1))
 
 
-def test_nonconstant_v_correction_changes_paths():
-    spec = _nonconstant_v_spec()
-    a = lx.euler_maruyama(spec, 0.5, 1e-2, 200, seed=4, stratonovich=True)
-    b = lx.euler_maruyama(spec, 0.5, 1e-2, 200, seed=4, stratonovich=False)
-    assert not np.array_equal(a.x_final, b.x_final)
+def test_nonconstant_v_invariant_density_is_inverse_v():
+    spec = _stratonovich_v_spec()
+    errors = []
+    for n in (128, 256):
+        ops = operators_for(spec, n)
+        dens = lx.invariant_density(ops.stencil)
+        ref = 1.0 / spec.fields_v[0](ops.x)
+        errors.append(np.max(np.abs(dens.rho - ref / (ref.sum() * dens.weight))))
+    assert errors[1] < 5e-5
+    assert 3.8 < errors[0] / errors[1] < 4.2  # O(dx^2)
+
+
+def test_nonconstant_v_mean_slope_matches_closed_form():
+    mu1, _ = lx.cgf_derivatives(_stratonovich_v_spec(), 0.0, n=256)
+    assert abs(mu1 - (math.sqrt(0.91) - 1.0) / 0.3) < 1e-4
+
+
+def test_nonconstant_v_stepper_and_generator_model_one_sde(frame):
+    # the spectral tail and the tilted paths read the same Stratonovich SDE
+    spec = _stratonovich_v_spec()
+    est = lx.estimate_tail_is(spec, frame, 0.3, 10.0, 1e-3, 2000, seed=11, n=256)
+    exact = lx.exact_tail(spec, frame, 0.3, 10.0, n=256)
+    assert abs(est.p_hat - exact) < 3.0 * est.stderr
 
 
 def test_brownian_variance(gaussian):

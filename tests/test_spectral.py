@@ -242,42 +242,65 @@ def test_semigroup_matches_direct_exponentials(mathieu, monkeypatch, ts, n_expm)
             assert np.max(np.sum(np.abs(M - ref), axis=1)) <= 1e-10 * max(norm, 1e-300), (z, t)
 
 
+def _decomposition(ops, z, ts, mu):
+    """Pi and {t: (exp(t (G(z) - mu)), R(t))} for exp(t G(z)) = e^{t lambda} Pi + R(t)."""
+    ed = ops.eigendata(z)
+    proj = np.outer(ed.g, ed.psi) * ops.weight
+    mats = sp._semigroup(ops, z, ts, mu)
+    return proj, {t: (M, M - np.exp(t * (ed.value - mu)) * proj) for t, M in mats.items()}
+
+
 def test_decomposition_takes_one_exponential(mathieu, monkeypatch):
+    ops = operators_for(mathieu, 128)
     calls = _count_expm(monkeypatch)
-    # t = 0.5, 1, 2 plus the semigroup checks at 1 and 1.5 share the step 0.5
-    rep = lx.decomposition_check(mathieu, 1.0, 0.1, [0.5, 1.0, 2.0], n=128)
+    # t = 0.5, 1, 2 plus the powers 2 and 3 of t = 0.5 share the step 0.5
+    _, dec = _decomposition(ops, complex(1.0, 0.1), [0.5, 1.0, 2.0, 1.5], ops.mu(1.0))
     assert len(calls) == 1
-    for _, resid in rep.power_residuals:
+    for N in (2, 3):
+        resid = sp._rowsum_norm(dec[0.5 * N][1] - np.linalg.matrix_power(dec[0.5][1], N))
         assert resid < 1e-8
+
+
+def test_decomposition_gaussian_remainder(gaussian):
+    ops = operators_for(gaussian, 64)
+    proj, dec = _decomposition(ops, 1.0, [0.5, 1.0], ops.mu(1.0))
+    comp = np.eye(len(proj)) - proj
+    norms = []
+    for t, (M, R) in dec.items():
+        norms.append(sp._rowsum_norm(R))
+        assert norms[-1] < 2.0 * np.exp(-2 * np.pi**2 * t)
+        # R(t) = exp(tG)(I - Pi): the top mode carries e^{t lambda} Pi exactly
+        assert sp._rowsum_norm(R - M @ comp) < 1e-12
+    assert norms[1] < 0.95 * norms[0]
+    assert sp._rowsum_norm(dec[1.0][1] - dec[0.5][1] @ dec[0.5][1]) < 1e-8
+
+
+def test_decomposition_t0_exact(gaussian):
+    ops = operators_for(gaussian, 64)
+    proj, dec = _decomposition(ops, 1.0, [0.0], ops.mu(1.0))
+    M, R = dec[0.0]
+    eye = np.eye(len(proj))
+    assert sp._rowsum_norm(M - eye) < 1e-12
+    assert sp._rowsum_norm(R - (eye - proj)) < 1e-12
+    assert sp._rowsum_norm(proj @ proj - proj) < 1e-12
+
+
+def test_decomposition_mathieu_complex(mathieu):
+    # exp(t G(z)) = e^{t lambda} Pi + R(t), with Pi R = R Pi = 0 and R(2t) = R(t)^2
+    ops = operators_for(mathieu, 128)
+    proj, dec = _decomposition(ops, complex(1.0, 0.1), [0.25, 0.5, 1.0], ops.mu(1.0))
+    rem = {t: R for t, (_, R) in dec.items()}
+    for R in rem.values():
+        assert sp._rowsum_norm(proj @ R) < 1e-10
+        assert sp._rowsum_norm(R @ proj) < 1e-10
+    for t in (0.25, 0.5):
+        assert sp._rowsum_norm(rem[2 * t] - rem[t] @ rem[t]) < 1e-8
+        assert sp._rowsum_norm(rem[2 * t]) < sp._rowsum_norm(rem[t])
 
 
 def test_decay_profile_mathieu_records_epsilon(mathieu):
     prof = lx.decay_profile(mathieu, 1.0, [10.0], [1.0, 2.0, 3.0, 4.0], n=256)
     assert prof.epsilon > 0.999  # ratio underflows at s=10: essentially full decay
-
-
-def test_decomposition_gaussian_remainder(gaussian):
-    rep = lx.decomposition_check(gaussian, 1.0, 0.0, [0.5, 1.0], n=64)
-    for row in rep.rows:
-        expect = np.exp(-2 * np.pi**2 * row["t"])
-        assert row["remainder_norm"] < 2.0 * expect
-        assert row["reconstruction"] < 1e-12
-    assert rep.remainder_decays
-    for _, resid in rep.power_residuals:
-        assert resid < 1e-8
-
-
-def test_decomposition_t0_exact(gaussian):
-    rep = lx.decomposition_check(gaussian, 1.0, 0.0, [0.0], n=64)
-    assert rep.rows[0]["reconstruction"] < 1e-12
-
-
-def test_decomposition_mathieu_complex(mathieu):
-    rep = lx.decomposition_check(mathieu, 1.0, 0.1, [0.5, 1.0, 2.0], n=256)
-    norms = [r["remainder_norm"] for r in rep.rows]
-    assert norms[1] < norms[0]
-    for _, resid in rep.power_residuals:
-        assert resid < 1e-8
 
 
 def test_spectrum_conjugate_symmetry(mathieu):
